@@ -82,7 +82,10 @@ def load_checkpoint(path):
     arrays = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode("utf-8")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: corrupt entry name: {exc}") from exc
         (ndim,) = struct.unpack("<B", take(1))
         dims = tuple(struct.unpack("<I", take(4))[0] for _ in range(ndim))
         n = int(np.prod(dims)) if dims else 1

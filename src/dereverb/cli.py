@@ -114,7 +114,8 @@ def _cmd_train(args, argv):
         cfg.to_dict(),
         {"checkpoint": final.name, "loss_csv": "loss.csv", "steps": len(rows)},
     )
-    print(f"trained {len(rows)} steps; final loss {rows[-1][2]:.6g}; checkpoint: {final}")
+    final_loss = f"; final loss {rows[-1][2]:.6g}" if rows else ""
+    print(f"trained {len(rows)} steps{final_loss}; checkpoint: {final}")
     return 0
 
 

@@ -72,9 +72,6 @@ class ComplexTensor:
     def copy(self):
         return ComplexTensor(self.real.copy(), self.imag.copy())
 
-    def detach(self):
-        return ComplexTensor(self.real, self.imag)
-
     def __repr__(self):
         tag = "" if self.node_id is None else f", node={self.node_id}"
         return f"ComplexTensor(shape={self.shape}{tag})"
@@ -176,11 +173,6 @@ class GradTape:
                     acc[1] = acc[1] + gi
                     acc[2] = True
         return {nid: (g[0], g[1]) for nid, g in grads.items()}
-
-
-def backward(tape, loss):
-    """Module-level alias for ``tape.backward(loss)``."""
-    return tape.backward(loss)
 
 
 # ---------------------------------------------------------------------------

@@ -239,15 +239,20 @@ def read_manifest(path):
             )
         rows = []
         for row in reader:
-            rows.append(
-                {
-                    "clean_path": str(path.parent / row["clean_path"]),
-                    "reverb_path": str(path.parent / row["reverb_path"]),
-                    "t60_s": float(row["t60_s"]),
-                    "snr_db": None if row["snr_db"] == "" else float(row["snr_db"]),
-                    "seed": int(row["seed"]),
-                }
-            )
+            try:
+                rows.append(
+                    {
+                        "clean_path": str(path.parent / row["clean_path"]),
+                        "reverb_path": str(path.parent / row["reverb_path"]),
+                        "t60_s": float(row["t60_s"]),
+                        "snr_db": None if row["snr_db"] == "" else float(row["snr_db"]),
+                        "seed": int(row["seed"]),
+                    }
+                )
+            except (TypeError, ValueError) as exc:
+                raise DataError(
+                    f"{path}: bad manifest row at line {reader.line_num}: {exc}"
+                ) from exc
     if not rows:
         raise DataError(f"{path}: empty manifest")
     return rows

@@ -66,13 +66,12 @@ def batchnorm_scenario(rng):
 
 def gru_scenario(rng):
     cell = ComplexGruCell(2, 3, rng=rng)
-    x = _tensor(rng, 2, 2)
-    h0 = _tensor(rng, 2, 3)
+    x = _tensor(rng, 2, 3, 2)
 
     def loss():
-        return ct.sum_abs2(cell.step(x, cell.step(x, h0)))
+        return ct.sum_abs2(cell.run(x))
 
-    return loss, [x, h0] + [p for _, p in cell.parameters()]
+    return loss, [x] + [p for _, p in cell.parameters()]
 
 
 def _attention_scenario(variant):
@@ -102,7 +101,7 @@ SCENARIOS = [
     ("complex_conv2d + crelu", conv2d_scenario),
     ("complex_conv_transpose2d", conv_transpose2d_scenario),
     ("complex_batchnorm (training)", batchnorm_scenario),
-    ("complex_gru_step (2 steps)", gru_scenario),
+    ("complex_gru_run (3 steps)", gru_scenario),
     ("attention: sdab", _attention_scenario("sdab")),
     ("attention: conventional", _attention_scenario("conventional")),
     ("attention: complex", _attention_scenario("complex")),

@@ -81,41 +81,81 @@ def orthogonal_pair_init(shape, rng, dtype=np.float64):
 
 
 # ---------------------------------------------------------------------------
-# real correlation kernels (shared by conv and its transpose)
+# complex correlation kernels: the one implementation behind conv and its
+# transpose.  A kernel [C_out, C_in, kt, kf] enters as the real matrices
+# A + jB of shape [C_out, C_in*kt*kf]; maps are [B, T, F, C] and products
+# run on [positions, channels] row matrices.
 # ---------------------------------------------------------------------------
-
-
-def _pad_tf(x, pt, pf):
-    if pt == 0 and pf == 0:
-        return x
-    return np.pad(x, ((0, 0), (pt, pt), (pf, pf), (0, 0)))
-
-
-def _im2col(xp, kt, kf, st, sf):
-    """Strided patch matrix: [B,Tp,Fp,C] -> ([B*To*Fo, C*kt*kf], (B,To,Fo)).
-
-    Column layout is (C, kt, kf) fastest-last, matching kernel.reshape(O, -1).
-    """
-    v = sliding_window_view(xp, (kt, kf), axis=(1, 2))[:, ::st, ::sf]
-    b, to, fo = v.shape[:3]
-    cols = np.ascontiguousarray(v).reshape(b * to * fo, -1)
-    return cols, (b, to, fo)
-
-
-def _col2im(gcols, dims, kt, kf, st, sf, padded_shape):
-    """Adjoint of :func:`_im2col`: scatter-add columns back into the input."""
-    b, to, fo = dims
-    c = padded_shape[-1]
-    g6 = gcols.reshape(b, to, fo, c, kt, kf)
-    gx = np.zeros(padded_shape, dtype=gcols.dtype)
-    for a in range(kt):
-        for bb in range(kf):
-            gx[:, a : a + st * to : st, bb : bb + sf * fo : sf, :] += g6[..., a, bb]
-    return gx
 
 
 def _conv_out_dim(n, k, s, p):
     return (n + 2 * p - k) // s + 1
+
+
+def _im2col(x, k, s, p):
+    """Patch matrix of a zero-padded [B,T,F,C] map: ([B*To*Fo, C*kt*kf], (B,To,Fo)).
+
+    Column layout is (C, kt, kf) fastest-last, matching kernel.reshape(O, -1).
+    """
+    if p != (0, 0):
+        x = np.pad(x, ((0, 0), (p[0], p[0]), (p[1], p[1]), (0, 0)))
+    v = sliding_window_view(x, k, axis=(1, 2))[:, :: s[0], :: s[1]]
+    b, to, fo = v.shape[:3]
+    return np.ascontiguousarray(v).reshape(b * to * fo, -1), (b, to, fo)
+
+
+def _col2im(gcols, dims, k, s, p, in_shape):
+    """Adjoint of :func:`_im2col`: scatter-add columns into a [B,T,F,C] map."""
+    b, to, fo = dims
+    _, t, f, c = in_shape
+    g6 = gcols.reshape(b, to, fo, c, k[0], k[1])
+    gx = np.zeros((b, t + 2 * p[0], f + 2 * p[1], c), dtype=gcols.dtype)
+    for a in range(k[0]):
+        for bb in range(k[1]):
+            gx[:, a : a + s[0] * to : s[0], bb : bb + s[1] * fo : s[1], :] += g6[..., a, bb]
+    return gx[:, p[0] : p[0] + t, p[1] : p[1] + f, :]
+
+
+def _patches(xr, xi, k, s, p):
+    """:func:`_im2col` of both parts of a map."""
+    cols_r, dims = _im2col(xr, k, s, p)
+    cols_i, _ = _im2col(xi, k, s, p)
+    return cols_r, cols_i, dims
+
+
+def _conv_product(cols_r, cols_i, a_mat, b_mat):
+    """Forward GEMMs: each patch row times (A + jB)^T."""
+    return cols_r @ a_mat.T - cols_i @ b_mat.T, cols_i @ a_mat.T + cols_r @ b_mat.T
+
+
+def _conv_input_adjoint(gr, gi, a_mat, b_mat, dims, k, s, p, in_shape):
+    """Adjoint of patches-then-product: rows [M, C_out] -> map ``in_shape``."""
+    gc_r = gr @ a_mat + gi @ b_mat
+    gc_i = -gr @ b_mat + gi @ a_mat
+    return _col2im(gc_r, dims, k, s, p, in_shape), _col2im(gc_i, dims, k, s, p, in_shape)
+
+
+def _conv_kernel_grad(cols_r, cols_i, gr, gi, w_shape):
+    """Gradient of the product wrt (A, B), given the output gradient rows."""
+    ga = (cols_r.T @ gr + cols_i.T @ gi).T.reshape(w_shape)
+    gb = (-cols_i.T @ gr + cols_r.T @ gi).T.reshape(w_shape)
+    return ga, gb
+
+
+def _as_batch(a):
+    return a.reshape((-1,) + a.shape[-3:])
+
+
+def _batch_parts(x, channels, what):
+    """The parts of a checked rank-3/4 map as [B,T,F,C] views (rank 3 gets B=1)."""
+    if x.ndim not in (3, 4):
+        raise ShapeError(f"{what} input must be rank 3 or 4, got {x.shape}")
+    if x.shape[-1] != channels:
+        raise ShapeError(
+            f"channel mismatch: input has {x.shape[-1]} complex channels, "
+            f"kernel expects {channels}"
+        )
+    return _as_batch(x.real), _as_batch(x.imag)
 
 
 # ---------------------------------------------------------------------------
@@ -129,60 +169,39 @@ def complex_conv2d(x, w, stride=1, padding=0):
     Accepts rank-3 (single map) or rank-4 (batched) input; output spatial
     dims follow the standard (n + 2p - k)//s + 1 rule.
     """
-    st, sf = _pair(stride)
-    pt, pf = _pair(padding)
-    if x.ndim not in (3, 4):
-        raise ShapeError(f"conv input must be rank 3 or 4, got {x.shape}")
-    squeeze = x.ndim == 3
-    if x.shape[-1] != w.shape[1]:
-        raise ShapeError(
-            f"channel mismatch: input has {x.shape[-1]} complex channels, "
-            f"kernel expects {w.shape[1]}"
-        )
-    kt, kf = w.shape[2], w.shape[3]
+    s, p = _pair(stride), _pair(padding)
+    xr, xi = _batch_parts(x, w.shape[1], "conv")
+    c_out, k = w.shape[0], w.shape[2:]
     t_in, f_in = x.shape[-3], x.shape[-2]
-    if t_in + 2 * pt < kt or f_in + 2 * pf < kf:
+    if t_in + 2 * p[0] < k[0] or f_in + 2 * p[1] < k[1]:
         raise ShapeError(
-            f"spatial dims {t_in}x{f_in} (pad {pt},{pf}) smaller than kernel {kt}x{kf}"
+            f"spatial dims {t_in}x{f_in} (pad {p[0]},{p[1]}) smaller than kernel "
+            f"{k[0]}x{k[1]}"
         )
 
-    xr = x.real[None] if squeeze else x.real
-    xi = x.imag[None] if squeeze else x.imag
-    padded_shape = (xr.shape[0], t_in + 2 * pt, f_in + 2 * pf, xr.shape[-1])
-    cols_r, dims = _im2col(_pad_tf(xr, pt, pf), kt, kf, st, sf)
-    cols_i, _ = _im2col(_pad_tf(xi, pt, pf), kt, kf, st, sf)
-    c_out = w.shape[0]
-    a_mat = w.real.reshape(c_out, -1)
-    b_mat = w.imag.reshape(c_out, -1)
-
-    batch, to, fo = dims
-    yr = (cols_r @ a_mat.T - cols_i @ b_mat.T).reshape(batch, to, fo, c_out)
-    yi = (cols_i @ a_mat.T + cols_r @ b_mat.T).reshape(batch, to, fo, c_out)
-
-    def unpad(gp):
-        return gp[:, pt : pt + t_in, pf : pf + f_in, :]
-
-    def debatch(arr):
-        return arr[0] if squeeze else arr
-
-    def flat(g):
-        return (g[None] if squeeze else g).reshape(batch * to * fo, c_out)
+    a_mat, b_mat = w.real.reshape(c_out, -1), w.imag.reshape(c_out, -1)
+    cols_r, cols_i, dims = _patches(xr, xi, k, s, p)
+    yr, yi = _conv_product(cols_r, cols_i, a_mat, b_mat)
+    out_shape = x.shape[:-3] + dims[1:] + (c_out,)
+    # the vjps hold shapes only: keeping x alive until backward costs memory
+    in_shape, batch_shape = x.shape, xr.shape
 
     def vjp_x(gr, gi):
-        gr2, gi2 = flat(gr), flat(gi)
-        gc_r = gr2 @ a_mat + gi2 @ b_mat
-        gc_i = -gr2 @ b_mat + gi2 @ a_mat
-        gxr = unpad(_col2im(gc_r, dims, kt, kf, st, sf, padded_shape))
-        gxi = unpad(_col2im(gc_i, dims, kt, kf, st, sf, padded_shape))
-        return (debatch(gxr), debatch(gxi))
+        gxr, gxi = _conv_input_adjoint(
+            gr.reshape(-1, c_out), gi.reshape(-1, c_out), a_mat, b_mat, dims, k, s, p,
+            batch_shape,
+        )
+        return gxr.reshape(in_shape), gxi.reshape(in_shape)
 
     def vjp_w(gr, gi):
-        gr2, gi2 = flat(gr), flat(gi)
-        ga = (cols_r.T @ gr2 + cols_i.T @ gi2).T.reshape(w.shape)
-        gb = (-cols_i.T @ gr2 + cols_r.T @ gi2).T.reshape(w.shape)
-        return (ga, gb)
+        return _conv_kernel_grad(
+            cols_r, cols_i, gr.reshape(-1, c_out), gi.reshape(-1, c_out), w.shape
+        )
 
-    return _emit("complex_conv2d", debatch(yr), debatch(yi), [(x, vjp_x), (w, vjp_w)])
+    return _emit(
+        "complex_conv2d", yr.reshape(out_shape), yi.reshape(out_shape),
+        [(x, vjp_x), (w, vjp_w)],
+    )
 
 
 def complex_conv_transpose2d(x, w, stride, padding, output_spatial):
@@ -190,68 +209,40 @@ def complex_conv_transpose2d(x, w, stride, padding, output_spatial):
 
     ``w`` has shape [C_in, C_out, kt, kf]; ``output_spatial`` fixes the
     (T_out, F_out) of the result, resolving the usual stride ambiguity.
+    The op is exactly the input adjoint of :func:`complex_conv2d` by the
+    conjugate kernel, so its vjps are that conv's forward and kernel gradient.
     """
-    st, sf = _pair(stride)
-    pt, pf = _pair(padding)
+    s, p = _pair(stride), _pair(padding)
     t_out, f_out = int(output_spatial[0]), int(output_spatial[1])
-    if x.ndim not in (3, 4):
-        raise ShapeError(f"conv-transpose input must be rank 3 or 4, got {x.shape}")
-    squeeze = x.ndim == 3
-    if x.shape[-1] != w.shape[0]:
-        raise ShapeError(
-            f"channel mismatch: input has {x.shape[-1]} complex channels, "
-            f"kernel expects {w.shape[0]}"
-        )
-    kt, kf = w.shape[2], w.shape[3]
+    xr, xi = _batch_parts(x, w.shape[0], "conv-transpose")
+    (c_in, c_out), k = w.shape[:2], w.shape[2:]
     t_in, f_in = x.shape[-3], x.shape[-2]
-    if _conv_out_dim(t_out, kt, st, pt) != t_in or _conv_out_dim(f_out, kf, sf, pf) != f_in:
+    fits = [_conv_out_dim(n, kk, ss, pp) for n, kk, ss, pp in zip((t_out, f_out), k, s, p)]
+    if fits != [t_in, f_in]:
         raise ShapeError(
             f"output spatial {t_out}x{f_out} inconsistent with input "
-            f"{t_in}x{f_in} under k=({kt},{kf}) s=({st},{sf}) p=({pt},{pf})"
+            f"{t_in}x{f_in} under k=({k[0]},{k[1]}) s=({s[0]},{s[1]}) p=({p[0]},{p[1]})"
         )
 
-    xr = x.real[None] if squeeze else x.real
-    xi = x.imag[None] if squeeze else x.imag
-    batch = xr.shape[0]
-    c_in, c_out = w.shape[0], w.shape[1]
-    padded_shape = (batch, t_out + 2 * pt, f_out + 2 * pf, c_out)
-    dims = (batch, t_in, f_in)
-    a_mat = w.real.reshape(c_in, -1)
-    b_mat = w.imag.reshape(c_in, -1)
-    xr_flat = xr.reshape(batch * t_in * f_in, c_in)
-    xi_flat = xi.reshape(batch * t_in * f_in, c_in)
-
-    def scatter(cols):
-        return _col2im(cols, dims, kt, kf, st, sf, padded_shape)
-
-    def unpad(yp):
-        return yp[:, pt : pt + t_out, pf : pf + f_out, :]
-
-    yr = unpad(scatter(xr_flat @ a_mat - xi_flat @ b_mat))
-    yi = unpad(scatter(xi_flat @ a_mat + xr_flat @ b_mat))
-
-    def debatch(arr):
-        return arr[0] if squeeze else arr
-
-    def rebatch(g):
-        return g[None] if squeeze else g
+    a_mat, b_conj = w.real.reshape(c_in, -1), -w.imag.reshape(c_in, -1)
+    xr_rows, xi_rows = xr.reshape(-1, c_in), xi.reshape(-1, c_in)
+    out_batch = (xr.shape[0], t_out, f_out, c_out)
+    yr, yi = _conv_input_adjoint(xr_rows, xi_rows, a_mat, b_conj, xr.shape[:3], k, s, p, out_batch)
+    in_shape, out_shape = x.shape, x.shape[:-3] + out_batch[1:]
 
     def vjp_x(gr, gi):
-        gcols_r, _ = _im2col(_pad_tf(rebatch(gr), pt, pf), kt, kf, st, sf)
-        gcols_i, _ = _im2col(_pad_tf(rebatch(gi), pt, pf), kt, kf, st, sf)
-        gxr = (gcols_r @ a_mat.T + gcols_i @ b_mat.T).reshape(xr.shape)
-        gxi = (-gcols_r @ b_mat.T + gcols_i @ a_mat.T).reshape(xi.shape)
-        return (debatch(gxr), debatch(gxi))
+        cols_r, cols_i, _ = _patches(_as_batch(gr), _as_batch(gi), k, s, p)
+        gxr, gxi = _conv_product(cols_r, cols_i, a_mat, b_conj)
+        return gxr.reshape(in_shape), gxi.reshape(in_shape)
 
     def vjp_w(gr, gi):
-        gcols_r, _ = _im2col(_pad_tf(rebatch(gr), pt, pf), kt, kf, st, sf)
-        gcols_i, _ = _im2col(_pad_tf(rebatch(gi), pt, pf), kt, kf, st, sf)
-        ga = (gcols_r.T @ xr_flat + gcols_i.T @ xi_flat).T.reshape(w.shape)
-        gb = (-gcols_r.T @ xi_flat + gcols_i.T @ xr_flat).T.reshape(w.shape)
-        return (ga, gb)
+        cols_r, cols_i, _ = _patches(_as_batch(gr), _as_batch(gi), k, s, p)
+        ga, gb_conj = _conv_kernel_grad(cols_r, cols_i, xr_rows, xi_rows, w.shape)
+        return ga, -gb_conj
 
     return _emit(
-        "complex_conv_transpose2d", debatch(yr), debatch(yi), [(x, vjp_x), (w, vjp_w)]
+        "complex_conv_transpose2d", yr.reshape(out_shape), yi.reshape(out_shape),
+        [(x, vjp_x), (w, vjp_w)],
     )
 
 
@@ -308,6 +299,13 @@ def _one_minus_split(z):
     return ct.shift(ct.neg(z), 1 + 1j)
 
 
+# running-stat rows of ComplexBatchNorm and their initial values: unit
+# complex power split evenly across the parts
+_RUNNING_STATS = (
+    ("run_mean_r", 0.0), ("run_mean_i", 0.0), ("run_vrr", 0.5), ("run_vri", 0.0), ("run_vii", 0.5)
+)
+
+
 class ComplexBatchNorm:
     """Whitening batchnorm over the joint real/imag distribution per channel.
 
@@ -327,24 +325,16 @@ class ComplexBatchNorm:
         self.gamma_d = ComplexTensor(np.full(c, half, dtype=dtype), np.full(c, half, dtype=dtype))
         self.gamma_o = ComplexTensor(np.zeros(c, dtype=dtype), np.zeros(c, dtype=dtype))
         self.beta = ComplexTensor(np.zeros(c, dtype=dtype), np.zeros(c, dtype=dtype))
-        # running stats: unit complex power split evenly across the parts
-        self.run_mean_r = np.zeros(c, dtype=dtype)
-        self.run_mean_i = np.zeros(c, dtype=dtype)
-        self.run_vrr = np.full(c, 0.5, dtype=dtype)
-        self.run_vri = np.zeros(c, dtype=dtype)
-        self.run_vii = np.full(c, 0.5, dtype=dtype)
+        self._running = np.tile(
+            np.array([init for _, init in _RUNNING_STATS], dtype=dtype)[:, None], (1, c)
+        )
 
     def parameters(self):
         return [("gamma_d", self.gamma_d), ("gamma_o", self.gamma_o), ("beta", self.beta)]
 
     def buffers(self):
-        return [
-            ("run_mean_r", self.run_mean_r),
-            ("run_mean_i", self.run_mean_i),
-            ("run_vrr", self.run_vrr),
-            ("run_vri", self.run_vri),
-            ("run_vii", self.run_vii),
-        ]
+        """Running stats as (name, [C] view into ``_running``); writes restore them."""
+        return [(name, row) for (name, _), row in zip(_RUNNING_STATS, self._running)]
 
     def __call__(self, x, training):
         if x.ndim < 2:
@@ -366,13 +356,17 @@ class ComplexBatchNorm:
             vrr = ct.real_part(vd)
             vii = ct.imag_part(vd)
             vri = ct.real_part(vcross)
-            self._update_running(mu, vrr, vri, vii)
+            self._running *= 1 - self.momentum
+            self._running += self.momentum * np.stack(
+                [mu.real, mu.imag, vrr.real, vri.real, vii.real]
+            )
         else:
-            mu = ComplexTensor(self.run_mean_r, self.run_mean_i)
+            mean_r, mean_i, run_rr, run_ri, run_ii = self._running
+            mu = ComplexTensor(mean_r, mean_i)
             xc = ct.sub(x, mu)
-            vrr = ComplexTensor(self.run_vrr)
-            vii = ComplexTensor(self.run_vii)
-            vri = ComplexTensor(self.run_vri)
+            vrr = ComplexTensor(run_rr)
+            vii = ComplexTensor(run_ii)
+            vri = ComplexTensor(run_ri)
 
         # analytic inverse square root of [[a, b], [b, c]] + eps*I
         a = ct.shift(vrr, self.eps)
@@ -395,18 +389,6 @@ class ComplexBatchNorm:
             ct.mul_split(self.gamma_o, _swap_parts(white)),
         )
         return ct.add(scaled, self.beta)
-
-    def _update_running(self, mu, vrr, vri, vii):
-        m = self.momentum
-        self.run_mean_r = ((1 - m) * self.run_mean_r + m * mu.real).astype(
-            self.run_mean_r.dtype
-        )
-        self.run_mean_i = ((1 - m) * self.run_mean_i + m * mu.imag).astype(
-            self.run_mean_i.dtype
-        )
-        self.run_vrr = ((1 - m) * self.run_vrr + m * vrr.real).astype(self.run_vrr.dtype)
-        self.run_vri = ((1 - m) * self.run_vri + m * vri.real).astype(self.run_vri.dtype)
-        self.run_vii = ((1 - m) * self.run_vii + m * vii.real).astype(self.run_vii.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -444,33 +426,16 @@ class ComplexGruCell:
             ("b_z", self.b_z), ("b_r", self.b_r), ("b_h", self.b_h),
         ]
 
-    def step(self, x_t, h):
-        """One recurrence step: [B, D], [B, H] -> new hidden [B, H]."""
-        if x_t.shape[-1] != self.input_cc or h.shape[-1] != self.hidden_cc:
-            raise ShapeError(
-                f"GRU step shapes {x_t.shape}/{h.shape} do not match "
-                f"D={self.input_cc}, H={self.hidden_cc}"
-            )
-        z = ct.sigmoid_split(
-            ct.add(ct.add(ct.matmul(x_t, self.w_z), ct.matmul(h, self.u_z)), self.b_z)
-        )
-        r = ct.sigmoid_split(
-            ct.add(ct.add(ct.matmul(x_t, self.w_r), ct.matmul(h, self.u_r)), self.b_r)
-        )
-        cand = ct.tanh_split(
-            ct.add(
-                ct.add(ct.matmul(x_t, self.w_h), ct.matmul(ct.mul_split(r, h), self.u_h)),
-                self.b_h,
-            )
-        )
-        return ct.add(ct.mul_split(_one_minus_split(z), h), ct.mul_split(z, cand))
-
     def run(self, x_seq):
         """Run over a [B, T, D] sequence; returns hidden states [B, T, H].
 
         The input-side gate projections are batched over all timesteps up
         front; only the recurrent half runs step by step.
         """
+        if x_seq.ndim != 3 or x_seq.shape[-1] != self.input_cc:
+            raise ShapeError(
+                f"GRU input {x_seq.shape} is not [B, T, D] with D={self.input_cc}"
+            )
         batch, steps, d = x_seq.shape
         h_cc = self.hidden_cc
         flat = ct.reshape(x_seq, (batch * steps, d))

@@ -28,13 +28,13 @@ from .layers import (
     ComplexConv2d,
     ComplexConvTranspose2d,
     ComplexGruCell,
+    _conv_out_dim,
     complex_conv2d,
     unitary_init,
 )
 from .signal import (
     SignalConfig,
     WaveForm,
-    apply_mask,
     istft,
     make_spectral_images,
     psd_smooth,
@@ -163,10 +163,6 @@ class ModelConfig:
         return cls(**kwargs).validate()
 
 
-def _conv_out(n, k, s, p):
-    return (n + 2 * p - k) // s + 1
-
-
 class _UNetBlock:
     """Shared encoder/decoder block: CReLU -> conv -> attention -> dense -> BN."""
 
@@ -233,7 +229,7 @@ class DccrnModel:
         pt, pf = cfg.padding
         for _ in range(n):
             t, f = dims[-1]
-            t2, f2 = _conv_out(t, kt, st, pt), _conv_out(f, kf, sf, pf)
+            t2, f2 = _conv_out_dim(t, kt, st, pt), _conv_out_dim(f, kf, sf, pf)
             if t2 < 1 or f2 < 1:
                 raise ConfigError(
                     f"feature map collapsed to {t2}x{f2}; too many strided layers "
@@ -316,29 +312,21 @@ class DccrnModel:
 
     def load_arrays(self, arrays):
         dtype = self.cfg.np_dtype
+
+        def entry(key, shape):
+            if key not in arrays:
+                raise DataError(f"checkpoint is missing entry {key!r}")
+            r, i = arrays[key]
+            if r.shape != shape:
+                raise DataError(f"checkpoint entry {key!r} has shape {r.shape}, want {shape}")
+            return r, i
+
         for name, p in self.parameters():
-            if name not in arrays:
-                raise DataError(f"checkpoint is missing parameter {name!r}")
-            r, i = arrays[name]
-            if r.shape != p.shape:
-                raise DataError(
-                    f"checkpoint parameter {name!r} has shape {r.shape}, want {p.shape}"
-                )
+            r, i = entry(name, p.shape)
             p.real = r.astype(dtype, copy=True)
             p.imag = i.astype(dtype, copy=True)
-        holders = dict(self._buffer_holders())
-        for name, _ in self.buffers():
-            key = f"buffer.{name}"
-            if key not in arrays:
-                raise DataError(f"checkpoint is missing buffer {name!r}")
-            holders[name](arrays[key][0].astype(dtype, copy=True))
-
-    def _buffer_holders(self):
-        blocks = [(f"enc{i}", blk) for i, blk in enumerate(self.encoder)]
-        blocks += [(f"dec{j}", blk) for j, blk in enumerate(self.decoder)]
-        for prefix, blk in blocks:
-            for attr in ("run_mean_r", "run_mean_i", "run_vrr", "run_vri", "run_vii"):
-                yield f"{prefix}.bn.{attr}", (lambda v, b=blk.bn, a=attr: setattr(b, a, v))
+        for name, b in self.buffers():
+            b[...] = entry(f"buffer.{name}", b.shape)[0]
 
     @classmethod
     def from_checkpoint(cls, path):

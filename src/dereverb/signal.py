@@ -57,18 +57,6 @@ class SignalConfig:
             raise ContractError(f"image_frames must be >= 1, got {self.image_frames}")
         return self
 
-    @classmethod
-    def desk_scale(cls, sample_rate=4000):
-        """32 ms frames at a reduced rate; 64x64 images for fft_size 128."""
-        frame = int(round(0.032 * sample_rate))
-        return cls(
-            sample_rate=sample_rate,
-            frame_len=frame,
-            hop=frame // 4,
-            fft_size=frame,
-            image_frames=frame // 2,
-        )
-
 
 @dataclass
 class Spectrogram:

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 
+from dereverb.checkpoint import load_checkpoint, save_checkpoint
 from dereverb.cli import main
 from dereverb.model import DccrnModel, ModelConfig
 from dereverb.signal import WaveForm, write_wav
@@ -101,6 +102,18 @@ class TestTrain:
         assert rc == 2
         assert "bogus" in capsys.readouterr().err
 
+    def test_zero_epochs_trains_no_steps(self, tmp_path, capsys):
+        assert main(synth_args(tmp_path / "data", n=2)) == 0
+        args = ["train", "--data", str(tmp_path / "data" / "manifest.csv"),
+                "--out", str(tmp_path / "run")]
+        for ov in TINY_MODEL_OVERRIDES + ["epochs=0"]:
+            args += ["--set", ov]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "trained 0 steps;" in out and "final loss" not in out
+        assert (tmp_path / "run" / "loss.csv").read_text() == "step,epoch,loss\n"
+        assert json.loads((tmp_path / "run" / "run.json").read_text())["outputs"]["steps"] == 0
+
     def test_missing_manifest_is_data_error(self, tmp_path):
         args = ["train", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "r")]
         for ov in TINY_MODEL_OVERRIDES:
@@ -137,6 +150,20 @@ class TestEnhance:
         assert rc == 2
         err = capsys.readouterr().err
         assert "8000" in err and "500" in err
+
+    def test_wrong_buffer_shape_is_data_error(self, tmp_path, capsys):
+        ckpt = self._checkpoint(tmp_path)
+        arrays, meta = load_checkpoint(ckpt)
+        real, imag = arrays["buffer.enc0.bn.run_vrr"]
+        arrays["buffer.enc0.bn.run_vrr"] = (real[:-1], imag[:-1])
+        save_checkpoint(ckpt, arrays, meta)
+        write_wav(tmp_path / "in.wav", WaveForm(np.zeros(300), 500))
+        rc = main(
+            ["enhance", "--ckpt", str(ckpt), "--in", str(tmp_path / "in.wav"),
+             "--out", str(tmp_path / "out.wav")]
+        )
+        assert rc == 2
+        assert "enc0.bn.run_vrr" in capsys.readouterr().err
 
 
 class TestEval:

@@ -305,3 +305,12 @@ class TestCheckpoint:
 
         with pytest.raises(DataError):
             load_checkpoint(path)
+
+    def test_rejects_non_utf8_entry_name(self, tmp_path):
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(path, {"ab": (np.zeros(2), np.zeros(2))})
+        path.write_bytes(path.read_bytes().replace(b"ab", b"\xff\xfe", 1))
+        from dereverb.errors import DataError
+
+        with pytest.raises(DataError, match="entry name"):
+            load_checkpoint(path)

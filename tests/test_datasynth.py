@@ -13,7 +13,7 @@ from dereverb.datasynth import (
     synth_rir,
     synth_speech_like,
 )
-from dereverb.errors import ContractError
+from dereverb.errors import ContractError, DataError
 from dereverb.signal import WaveForm, read_wav
 
 
@@ -151,6 +151,19 @@ class TestGenerateDataset:
             disk_reverb = read_wav(row["reverb_path"])
             assert np.max(np.abs(disk_clean.samples - clean.samples)) <= 1 / 32767
             assert np.max(np.abs(disk_reverb.samples - reverb.samples)) <= 1 / 32767
+
+    @pytest.mark.parametrize("field", ["t60_s", "snr_db", "seed"])
+    def test_non_numeric_manifest_field_is_data_error(self, tmp_path, field):
+        cfg = SynthConfig(duration_s=0.2)
+        manifest = generate_dataset(2, seed=3, out_dir=tmp_path / "d", cfg=cfg)
+        lines = manifest.read_text().splitlines()
+        header = lines[0].split(",")
+        cells = lines[2].split(",")
+        cells[header.index(field)] = "abc"
+        lines[2] = ",".join(cells)
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=r"manifest\.csv.*line 3"):
+            read_manifest(manifest)
 
     def test_wav_roundtrip_within_one_lsb(self, tmp_path):
         cfg = SynthConfig(duration_s=1.0)

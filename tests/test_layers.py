@@ -259,16 +259,20 @@ class TestComplexBatchNorm:
 
 class TestComplexGru:
     def test_zero_weights_halve_hidden(self):
+        # zero weights: z = r = 1/2, candidate tanh(b_h), so each step halves
+        # the gap between the hidden state and the candidate
         rng = np.random.default_rng(45)
         cell = ly.ComplexGruCell(3, 3, rng=rng)
         for _, p in cell.parameters():
             p.real[:] = 0.0
             p.imag[:] = 0.0
-        h = rand_ct(rng, 2, 3)
-        x = rand_ct(rng, 2, 3)
-        out = cell.step(x, h)
-        np.testing.assert_allclose(out.real, 0.5 * h.real, atol=1e-14)
-        np.testing.assert_allclose(out.imag, 0.5 * h.imag, atol=1e-14)
+        cell.b_h.real[:] = rng.standard_normal(3)
+        cell.b_h.imag[:] = rng.standard_normal(3)
+        cand = np.tanh(cell.b_h.real) + 1j * np.tanh(cell.b_h.imag)
+        out = cell.run(rand_ct(rng, 2, 4, 3)).to_complex()
+        for t in range(4):
+            want = np.broadcast_to((1 - 0.5 ** (t + 1)) * cand, out[:, t].shape)
+            np.testing.assert_allclose(out[:, t], want, atol=1e-14)
 
     def test_all_zero_inputs_give_zero(self):
         rng = np.random.default_rng(46)
@@ -277,9 +281,7 @@ class TestComplexGru:
             if name.startswith("b_"):
                 p.real[:] = 0.0
                 p.imag[:] = 0.0
-        x = ComplexTensor(np.zeros((1, 2)), np.zeros((1, 2)))
-        h = ComplexTensor(np.zeros((1, 4)), np.zeros((1, 4)))
-        out = cell.step(x, h)
+        out = cell.run(ComplexTensor(np.zeros((1, 3, 2)), np.zeros((1, 3, 2))))
         np.testing.assert_array_equal(out.real, 0.0)
         np.testing.assert_array_equal(out.imag, 0.0)
 
@@ -289,9 +291,8 @@ class TestComplexGru:
         for _, p in cell.parameters():
             p.real[:] = rng.standard_normal(p.shape)
             p.imag[:] = rng.standard_normal(p.shape)
-        x = rand_ct(rng, 1, 3)
-        h = rand_ct(rng, 1, 3)
-        got = cell.step(x, h).to_complex()
+        x = rand_ct(rng, 2, 3, 3)
+        got = cell.run(x).to_complex()
 
         def split_sigmoid(z):
             return 1 / (1 + np.exp(-z.real)) + 1j / (1 + np.exp(-z.imag))
@@ -299,16 +300,17 @@ class TestComplexGru:
         def split_tanh(z):
             return np.tanh(z.real) + 1j * np.tanh(z.imag)
 
-        xc, hc = x.to_complex(), h.to_complex()
         w = {name: p.to_complex() for name, p in cell.parameters()}
-        z = split_sigmoid(xc @ w["w_z"] + hc @ w["u_z"] + w["b_z"])
-        r = split_sigmoid(xc @ w["w_r"] + hc @ w["u_r"] + w["b_r"])
-        rh = r.real * hc.real + 1j * (r.imag * hc.imag)
-        cand = split_tanh(xc @ w["w_h"] + rh @ w["u_h"] + w["b_h"])
-        want = (1 - z.real) * hc.real + z.real * cand.real + 1j * (
-            (1 - z.imag) * hc.imag + z.imag * cand.imag
-        )
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        hc = np.zeros((2, 3), dtype=np.complex128)
+        for t, xc in enumerate(np.moveaxis(x.to_complex(), 1, 0)):
+            z = split_sigmoid(xc @ w["w_z"] + hc @ w["u_z"] + w["b_z"])
+            r = split_sigmoid(xc @ w["w_r"] + hc @ w["u_r"] + w["b_r"])
+            rh = r.real * hc.real + 1j * (r.imag * hc.imag)
+            cand = split_tanh(xc @ w["w_h"] + rh @ w["u_h"] + w["b_h"])
+            hc = (1 - z.real) * hc.real + z.real * cand.real + 1j * (
+                (1 - z.imag) * hc.imag + z.imag * cand.imag
+            )
+            np.testing.assert_allclose(got[:, t], hc, atol=1e-12)
 
     def test_sequence_run_shape_and_state(self):
         rng = np.random.default_rng(48)
@@ -321,19 +323,18 @@ class TestComplexGru:
         rng = np.random.default_rng(49)
         cell = ly.ComplexGruCell(3, 4, rng=rng)
         with pytest.raises(ShapeError):
-            cell.step(rand_ct(rng, 1, 5), rand_ct(rng, 1, 4))
+            cell.run(rand_ct(rng, 1, 2, 5))
+        with pytest.raises(ShapeError):
+            cell.run(rand_ct(rng, 2, 3))
 
     def test_gradients(self):
         rng = np.random.default_rng(50)
         cell = ly.ComplexGruCell(2, 3, rng=rng)
-        x = rand_ct(rng, 2, 2)
-        h0 = rand_ct(rng, 2, 3)
-        params = [x, h0] + [p for _, p in cell.parameters()]
+        x = rand_ct(rng, 2, 3, 2)
+        params = [x] + [p for _, p in cell.parameters()]
 
         def build():
-            h = cell.step(x, h0)
-            h = cell.step(x, h)
-            return ct.sum_abs2(h)
+            return ct.sum_abs2(cell.run(x))
 
         analytic = analytic_gradients(build, params)
         numeric = finite_difference_gradients(lambda: float(build().real), params)
