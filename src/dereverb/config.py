@@ -91,7 +91,11 @@ def _gather(path, overrides):
         p = Path(path)
         if not p.exists():
             raise ConfigError(f"config file not found: {p}")
-        raw.update(parse_kv_text(p.read_text(), origin=str(p)))
+        try:
+            text = p.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{p}: config file is not UTF-8 text: {exc}") from exc
+        raw.update(parse_kv_text(text, origin=str(p)))
     for item in overrides or ():
         if "=" not in item:
             raise ConfigError(f"override must look like key=value, got {item!r}")

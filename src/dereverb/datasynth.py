@@ -14,6 +14,7 @@ noise was added.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -230,29 +231,29 @@ def read_manifest(path):
     path = Path(path)
     if not path.exists():
         raise DataError(f"manifest not found: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != MANIFEST_HEADER:
-            raise DataError(
-                f"{path}: unexpected manifest header {reader.fieldnames}, "
-                f"want {MANIFEST_HEADER}"
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: manifest is not UTF-8 text: {exc}") from exc
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    if reader.fieldnames != MANIFEST_HEADER:
+        raise DataError(
+            f"{path}: unexpected manifest header {reader.fieldnames}, want {MANIFEST_HEADER}"
+        )
+    rows = []
+    for row in reader:
+        try:
+            rows.append(
+                {
+                    "clean_path": str(path.parent / row["clean_path"]),
+                    "reverb_path": str(path.parent / row["reverb_path"]),
+                    "t60_s": float(row["t60_s"]),
+                    "snr_db": None if row["snr_db"] == "" else float(row["snr_db"]),
+                    "seed": int(row["seed"]),
+                }
             )
-        rows = []
-        for row in reader:
-            try:
-                rows.append(
-                    {
-                        "clean_path": str(path.parent / row["clean_path"]),
-                        "reverb_path": str(path.parent / row["reverb_path"]),
-                        "t60_s": float(row["t60_s"]),
-                        "snr_db": None if row["snr_db"] == "" else float(row["snr_db"]),
-                        "seed": int(row["seed"]),
-                    }
-                )
-            except (TypeError, ValueError) as exc:
-                raise DataError(
-                    f"{path}: bad manifest row at line {reader.line_num}: {exc}"
-                ) from exc
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{path}: bad manifest row at line {reader.line_num}: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: empty manifest")
     return rows

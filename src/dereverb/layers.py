@@ -82,9 +82,9 @@ def orthogonal_pair_init(shape, rng, dtype=np.float64):
 
 # ---------------------------------------------------------------------------
 # complex correlation kernels: the one implementation behind conv and its
-# transpose.  A kernel [C_out, C_in, kt, kf] enters as the real matrices
-# A + jB of shape [C_out, C_in*kt*kf]; maps are [B, T, F, C] and products
-# run on [positions, channels] row matrices.
+# transpose.  Maps are [B, T, F, C] part pairs; a pass stacks both parts into
+# one real map [x_r | x_i] of 2C channels and multiplies its im2col by the
+# real block form of the kernel, so every pass is one im2col and one GEMM.
 # ---------------------------------------------------------------------------
 
 
@@ -92,54 +92,62 @@ def _conv_out_dim(n, k, s, p):
     return (n + 2 * p - k) // s + 1
 
 
-def _im2col(x, k, s, p):
-    """Patch matrix of a zero-padded [B,T,F,C] map: ([B*To*Fo, C*kt*kf], (B,To,Fo)).
-
-    Column layout is (C, kt, kf) fastest-last, matching kernel.reshape(O, -1).
+def _im2col(xr, xi, k, s, lo, step, size):
+    """Patch matrix [B*To*Fo, kt*kf*2C] at stride s, and (B, To, Fo), of the zero
+    map [B, *size, 2C] holding [xr | xi] of two [B, T, F, C] parts: per spatial
+    axis, input row i sits on map row lo + step*i, and rows outside [0, size)
+    are dropped, so a negative ``lo`` crops.  Columns run (kt, kf, 2C), channels
+    fastest, so a patch copies whole channel runs; they match :func:`_block`'s rows.
     """
-    if p != (0, 0):
-        x = np.pad(x, ((0, 0), (p[0], p[0]), (p[1], p[1]), (0, 0)))
-    v = sliding_window_view(x, k, axis=(1, 2))[:, :: s[0], :: s[1]]
+    c = xr.shape[-1]
+    m = np.zeros((xr.shape[0], *size, 2 * c), dtype=xr.dtype)
+    src, dst = [slice(None)], [slice(None)]
+    for n, l, st, sz in zip(xr.shape[1:3], lo, step, size):
+        first = max(0, -(l // st))
+        last = max(first, min(n, (sz - 1 - l) // st + 1))
+        src.append(slice(first, last))
+        dst.append(slice(l + st * first, l + st * last, st))
+    m[(*dst, slice(None, c))] = xr[tuple(src)]
+    m[(*dst, slice(c, None))] = xi[tuple(src)]
+    v = sliding_window_view(m, k, axis=(1, 2))[:, :: s[0], :: s[1]]
     b, to, fo = v.shape[:3]
-    return np.ascontiguousarray(v).reshape(b * to * fo, -1), (b, to, fo)
+    return np.ascontiguousarray(v.transpose(0, 1, 2, 4, 5, 3)).reshape(b * to * fo, -1), (b, to, fo)
 
 
-def _col2im(gcols, dims, k, s, p, in_shape):
-    """Adjoint of :func:`_im2col`: scatter-add columns into a [B,T,F,C] map."""
-    b, to, fo = dims
-    _, t, f, c = in_shape
-    g6 = gcols.reshape(b, to, fo, c, k[0], k[1])
-    gx = np.zeros((b, t + 2 * p[0], f + 2 * p[1], c), dtype=gcols.dtype)
-    for a in range(k[0]):
-        for bb in range(k[1]):
-            gx[:, a : a + s[0] * to : s[0], bb : bb + s[1] * fo : s[1], :] += g6[..., a, bb]
-    return gx[:, p[0] : p[0] + t, p[1] : p[1] + f, :]
+def _block(a, b):
+    """Real block form [kt, kf, 2C, 2O] of the kernel A + jB [O, C, kt, kf]:
+    per tap [[A^T, B^T], [-B^T, A^T]], mapping [x_r | x_i] rows to [y_r | y_i]."""
+    a, b = a.transpose(2, 3, 1, 0), b.transpose(2, 3, 1, 0)
+    return np.concatenate([np.concatenate([a, b], 3), np.concatenate([-b, a], 3)], 2)
 
 
-def _patches(xr, xi, k, s, p):
-    """:func:`_im2col` of both parts of a map."""
-    cols_r, dims = _im2col(xr, k, s, p)
-    cols_i, _ = _im2col(xi, k, s, p)
-    return cols_r, cols_i, dims
+def _parts(rows, shape):
+    """Split stacked [..., 2C] rows into (real, imag) parts of ``shape``."""
+    c = rows.shape[-1] // 2
+    return rows[..., :c].reshape(shape), rows[..., c:].reshape(shape)
 
 
-def _conv_product(cols_r, cols_i, a_mat, b_mat):
-    """Forward GEMMs: each patch row times (A + jB)^T."""
-    return cols_r @ a_mat.T - cols_i @ b_mat.T, cols_i @ a_mat.T + cols_r @ b_mat.T
+def _input_adjoint(gr, gi, blk, s, p, n):
+    """Input gradient rows [B*n_t*n_f, 2C] of the conv by ``blk``, given its output
+    gradient parts: the gradient, dilated by the stride and padded by k-1-p (cropped
+    where negative), correlated at stride 1 with the flipped, channel-transposed
+    block, with the flip taken on the map and the result instead of the block."""
+    k = blk.shape[:2]
+    size = [nn + kk - 1 for nn, kk in zip(n, k)]
+    # the mirror image of row k-1-p + s*i of the padded map holds mirrored row i
+    lo = [sz - kk + pp - ss * (g - 1) for sz, kk, pp, ss, g in zip(size, k, p, s, gr.shape[1:3])]
+    cols, dims = _im2col(gr[:, ::-1, ::-1], gi[:, ::-1, ::-1], k, (1, 1), lo, s, size)
+    rows = (cols @ blk.transpose(0, 1, 3, 2).reshape(cols.shape[1], -1)).reshape(dims + (-1,))
+    return rows[:, ::-1, ::-1].reshape(len(cols), -1)
 
 
-def _conv_input_adjoint(gr, gi, a_mat, b_mat, dims, k, s, p, in_shape):
-    """Adjoint of patches-then-product: rows [M, C_out] -> map ``in_shape``."""
-    gc_r = gr @ a_mat + gi @ b_mat
-    gc_i = -gr @ b_mat + gi @ a_mat
-    return _col2im(gc_r, dims, k, s, p, in_shape), _col2im(gc_i, dims, k, s, p, in_shape)
-
-
-def _conv_kernel_grad(cols_r, cols_i, gr, gi, w_shape):
-    """Gradient of the product wrt (A, B), given the output gradient rows."""
-    ga = (cols_r.T @ gr + cols_i.T @ gi).T.reshape(w_shape)
-    gb = (-cols_i.T @ gr + cols_r.T @ gi).T.reshape(w_shape)
-    return ga, gb
+def _kernel_grad(cols, gr, gi, k):
+    """Gradient wrt (A, B) of ``cols`` times the block, given the output
+    gradient parts: cols^T @ [g_r | g_i], folded back out of the block."""
+    g = cols.T @ np.concatenate([gr, gi], -1).reshape(len(cols), -1)
+    g = g.reshape(k[0], k[1], 2, -1, 2, gr.shape[-1])
+    ga, gb = g[:, :, 0, :, 0] + g[:, :, 1, :, 1], g[:, :, 0, :, 1] - g[:, :, 1, :, 0]
+    return ga.transpose(3, 2, 0, 1), gb.transpose(3, 2, 0, 1)
 
 
 def _as_batch(a):
@@ -179,29 +187,20 @@ def complex_conv2d(x, w, stride=1, padding=0):
             f"{k[0]}x{k[1]}"
         )
 
-    a_mat, b_mat = w.real.reshape(c_out, -1), w.imag.reshape(c_out, -1)
-    cols_r, cols_i, dims = _patches(xr, xi, k, s, p)
-    yr, yi = _conv_product(cols_r, cols_i, a_mat, b_mat)
-    out_shape = x.shape[:-3] + dims[1:] + (c_out,)
+    blk = _block(w.real, w.imag)
+    cols, dims = _im2col(xr, xi, k, s, p, (1, 1), (t_in + 2 * p[0], f_in + 2 * p[1]))
+    yr, yi = _parts(cols @ blk.reshape(cols.shape[1], -1), x.shape[:-3] + dims[1:] + (c_out,))
     # the vjps hold shapes only: keeping x alive until backward costs memory
-    in_shape, batch_shape = x.shape, xr.shape
+    in_shape = x.shape
 
     def vjp_x(gr, gi):
-        gxr, gxi = _conv_input_adjoint(
-            gr.reshape(-1, c_out), gi.reshape(-1, c_out), a_mat, b_mat, dims, k, s, p,
-            batch_shape,
-        )
-        return gxr.reshape(in_shape), gxi.reshape(in_shape)
+        rows = _input_adjoint(_as_batch(gr), _as_batch(gi), blk, s, p, (t_in, f_in))
+        return _parts(rows, in_shape)
 
     def vjp_w(gr, gi):
-        return _conv_kernel_grad(
-            cols_r, cols_i, gr.reshape(-1, c_out), gi.reshape(-1, c_out), w.shape
-        )
+        return _kernel_grad(cols, gr, gi, k)
 
-    return _emit(
-        "complex_conv2d", yr.reshape(out_shape), yi.reshape(out_shape),
-        [(x, vjp_x), (w, vjp_w)],
-    )
+    return _emit("complex_conv2d", yr, yi, [(x, vjp_x), (w, vjp_w)])
 
 
 def complex_conv_transpose2d(x, w, stride, padding, output_spatial):
@@ -215,7 +214,7 @@ def complex_conv_transpose2d(x, w, stride, padding, output_spatial):
     s, p = _pair(stride), _pair(padding)
     t_out, f_out = int(output_spatial[0]), int(output_spatial[1])
     xr, xi = _batch_parts(x, w.shape[0], "conv-transpose")
-    (c_in, c_out), k = w.shape[:2], w.shape[2:]
+    c_out, k = w.shape[1], w.shape[2:]
     t_in, f_in = x.shape[-3], x.shape[-2]
     fits = [_conv_out_dim(n, kk, ss, pp) for n, kk, ss, pp in zip((t_out, f_out), k, s, p)]
     if fits != [t_in, f_in]:
@@ -224,26 +223,27 @@ def complex_conv_transpose2d(x, w, stride, padding, output_spatial):
             f"{t_in}x{f_in} under k=({k[0]},{k[1]}) s=({s[0]},{s[1]}) p=({p[0]},{p[1]})"
         )
 
-    a_mat, b_conj = w.real.reshape(c_in, -1), -w.imag.reshape(c_in, -1)
-    xr_rows, xi_rows = xr.reshape(-1, c_in), xi.reshape(-1, c_in)
-    out_batch = (xr.shape[0], t_out, f_out, c_out)
-    yr, yi = _conv_input_adjoint(xr_rows, xi_rows, a_mat, b_conj, xr.shape[:3], k, s, p, out_batch)
-    in_shape, out_shape = x.shape, x.shape[:-3] + out_batch[1:]
+    blk = _block(w.real, -w.imag)
+    rows = _input_adjoint(xr, xi, blk, s, p, (t_out, f_out))
+    yr, yi = _parts(rows, x.shape[:-3] + (t_out, f_out, c_out))
+    in_shape, padded = x.shape, (t_out + 2 * p[0], f_out + 2 * p[1])
+    # vjp_x runs first and, when vjp_w is recorded too, hands it its patches
+    shared, share = [], w.node_id is not None
+
+    def grad_cols(gr, gi):
+        return _im2col(_as_batch(gr), _as_batch(gi), k, s, p, (1, 1), padded)[0]
 
     def vjp_x(gr, gi):
-        cols_r, cols_i, _ = _patches(_as_batch(gr), _as_batch(gi), k, s, p)
-        gxr, gxi = _conv_product(cols_r, cols_i, a_mat, b_conj)
-        return gxr.reshape(in_shape), gxi.reshape(in_shape)
+        cols = grad_cols(gr, gi)
+        if share:
+            shared.append(cols)
+        return _parts(cols @ blk.reshape(cols.shape[1], -1), in_shape)
 
     def vjp_w(gr, gi):
-        cols_r, cols_i, _ = _patches(_as_batch(gr), _as_batch(gi), k, s, p)
-        ga, gb_conj = _conv_kernel_grad(cols_r, cols_i, xr_rows, xi_rows, w.shape)
+        ga, gb_conj = _kernel_grad(shared.pop() if shared else grad_cols(gr, gi), xr, xi, k)
         return ga, -gb_conj
 
-    return _emit(
-        "complex_conv_transpose2d", yr.reshape(out_shape), yi.reshape(out_shape),
-        [(x, vjp_x), (w, vjp_w)],
-    )
+    return _emit("complex_conv_transpose2d", yr, yi, [(x, vjp_x), (w, vjp_w)])
 
 
 class ComplexConv2d:

@@ -152,15 +152,38 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d):
+        """Config from decoded JSON, as :meth:`to_dict` writes it; an unknown key or
+        a value not of its field's type is a ConfigError."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"model config must be a JSON object, got {type(d).__name__}")
         names = {f.name for f in dataclasses.fields(cls)}
         unknown = set(d) - names
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(d)
-        for key in ("channels", "kernel", "stride", "padding"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
+        defaults = cls()
+        kwargs = {key: _typed(key, value, getattr(defaults, key)) for key, value in d.items()}
         return cls(**kwargs).validate()
+
+
+def _typed(name, value, default):
+    """``value`` checked against the type of the field's ``default``: int lists for
+    tuples (returned as tuples), numbers for floats, None too for optional floats."""
+
+    def is_int(v):
+        return isinstance(v, int) and not isinstance(v, bool)
+
+    if isinstance(default, tuple):
+        ok, kind = isinstance(value, (list, tuple)) and all(map(is_int, value)), "list of ints"
+    elif isinstance(default, (bool, str)):
+        ok, kind = isinstance(value, type(default)), type(default).__name__
+    elif isinstance(default, int):
+        ok, kind = is_int(value), "int"
+    else:
+        ok = (value is None and default is None) or is_int(value) or isinstance(value, float)
+        kind = "number" if default is not None else "number or null"
+    if not ok:
+        raise ConfigError(f"config field {name!r} must be a {kind}, got {value!r}")
+    return tuple(value) if isinstance(default, tuple) else value
 
 
 class _UNetBlock:
@@ -333,7 +356,10 @@ class DccrnModel:
         arrays, meta = load_checkpoint(path)
         if "model_config" not in meta:
             raise DataError(f"{path}: checkpoint carries no model config")
-        cfg = ModelConfig.from_dict(meta["model_config"])
+        try:
+            cfg = ModelConfig.from_dict(meta["model_config"])
+        except ConfigError as exc:
+            raise DataError(f"{path}: bad model config: {exc}") from exc
         model = cls(cfg)
         model.load_arrays(arrays)
         return model

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from dereverb.checkpoint import load_checkpoint, save_checkpoint
 from dereverb.cli import main
@@ -114,6 +115,14 @@ class TestTrain:
         assert (tmp_path / "run" / "loss.csv").read_text() == "step,epoch,loss\n"
         assert json.loads((tmp_path / "run" / "run.json").read_text())["outputs"]["steps"] == 0
 
+    def test_non_utf8_config_file_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "cfg.txt"
+        config.write_bytes(b"epochs = 1\n# \xff\n")
+        args = ["train", "--data", "x.csv", "--out", str(tmp_path / "r"), "--config", str(config)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "cfg.txt" in err and len(err.strip().splitlines()) == 1
+
     def test_missing_manifest_is_data_error(self, tmp_path):
         args = ["train", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "r")]
         for ov in TINY_MODEL_OVERRIDES:
@@ -164,6 +173,26 @@ class TestEnhance:
         )
         assert rc == 2
         assert "enc0.bn.run_vrr" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("epochs", "x"), ("channels", 5), ("kernel", [3, "3"]), ("bounded_mask", 1),
+         ("psd_smoothing_alpha", "0.5")],
+    )
+    def test_mistyped_model_config_exits_2(self, tmp_path, capsys, field, value):
+        ckpt = self._checkpoint(tmp_path)
+        arrays, meta = load_checkpoint(ckpt)
+        meta["model_config"][field] = value
+        save_checkpoint(ckpt, arrays, meta)
+        write_wav(tmp_path / "in.wav", WaveForm(np.zeros(300), 500))
+        rc = main(
+            ["enhance", "--ckpt", str(ckpt), "--in", str(tmp_path / "in.wav"),
+             "--out", str(tmp_path / "out.wav")]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "model.ckpt" in err and field in err and len(err.strip().splitlines()) == 1
 
 
 class TestEval:

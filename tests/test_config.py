@@ -61,6 +61,12 @@ class TestModelConfigLoading:
         with pytest.raises(ConfigError):
             load_model_config(overrides=["channels=3,5", "num_enc_layers=2"])
 
+    def test_non_utf8_file_is_config_error(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_bytes(b"epochs = 3\nattention = \xff\n")
+        with pytest.raises(ConfigError, match=r"cfg\.txt.*UTF-8"):
+            load_model_config(path)
+
     def test_roundtrip_through_text(self, tmp_path):
         cfg = ModelConfig(epochs=7, attention="conventional")
         path = tmp_path / "cfg.txt"

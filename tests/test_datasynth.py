@@ -165,6 +165,13 @@ class TestGenerateDataset:
         with pytest.raises(DataError, match=r"manifest\.csv.*line 3"):
             read_manifest(manifest)
 
+    def test_non_utf8_manifest_is_data_error(self, tmp_path):
+        cfg = SynthConfig(duration_s=0.2)
+        manifest = generate_dataset(1, seed=3, out_dir=tmp_path / "d", cfg=cfg)
+        manifest.write_bytes(manifest.read_bytes().replace(b"clean_0000", b"clean_\xff000"))
+        with pytest.raises(DataError, match=r"manifest\.csv.*UTF-8"):
+            read_manifest(manifest)
+
     def test_wav_roundtrip_within_one_lsb(self, tmp_path):
         cfg = SynthConfig(duration_s=1.0)
         manifest = generate_dataset(1, seed=3, out_dir=tmp_path / "d", cfg=cfg)

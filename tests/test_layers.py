@@ -49,6 +49,35 @@ def naive_complex_conv(x, w, stride, padding):
     return y
 
 
+def naive_complex_conv_transpose(x, w, stride, padding, out_spatial):
+    """Nested-loop scatter oracle for the transposed conv on complex ndarrays.
+
+    x: [T, F, C_in] complex; w: [C_in, C_out, kt, kf] complex.  Each input
+    pixel adds its kernel-weighted copy at (t*s - p, f*s - p) onward.
+    """
+    st, sf = stride
+    pt, pf = padding
+    t_in, f_in, c_in = x.shape
+    _, c_out, kt, kf = w.shape
+    t_out, f_out = out_spatial
+    y = np.zeros(
+        (
+            max(t_out + 2 * pt, (t_in - 1) * st + kt),
+            max(f_out + 2 * pf, (f_in - 1) * sf + kf),
+            c_out,
+        ),
+        dtype=np.complex128,
+    )
+    for t in range(t_in):
+        for f in range(f_in):
+            for ci in range(c_in):
+                for co in range(c_out):
+                    for a in range(kt):
+                        for b in range(kf):
+                            y[t * st + a, f * sf + b, co] += x[t, f, ci] * w[ci, co, a, b]
+    return y[pt : pt + t_out, pf : pf + f_out]
+
+
 class TestComplexConv2d:
     def test_identity_kernel(self):
         x = ComplexTensor(np.array([[[1.0]]]), np.array([[[2.0]]]))
@@ -165,6 +194,131 @@ class TestComplexConvTranspose2d:
         analytic = analytic_gradients(build, [x, w])
         numeric = finite_difference_gradients(lambda: float(build().real), [x, w])
         assert max_relative_error(analytic, numeric) < 1e-4
+
+
+# (T, F), kernel, stride, padding.  The input gradient is a correlation over
+# the dilated, padded output gradient; these geometries make that route crop
+# (padding >= kernel), skip input rows (stride > kernel) and over-pad
+# ((n + 2p - k) % s != 0), next to the desk encoder's and dense blocks' ones.
+CONV_GEOMETRIES = [
+    ((5, 6), (3, 3), (1, 1), (1, 1)),
+    ((6, 9), (3, 3), (1, 2), (1, 1)),
+    ((6, 7), (2, 3), (1, 1), (3, 2)),
+    ((5, 7), (1, 1), (2, 2), (0, 0)),
+    ((8, 7), (3, 2), (3, 2), (1, 0)),
+]
+GEOMETRY_CASES = [
+    pytest.param(g, rank, dtype, id=f"g{i}-rank{rank}-{dtype.__name__}")
+    for i, g in enumerate(CONV_GEOMETRIES)
+    for rank in (3, 4)
+    for dtype in (np.float64, np.float32)
+]
+
+
+def rand_typed(rng, shape, dtype):
+    return ComplexTensor(
+        rng.standard_normal(shape).astype(dtype), rng.standard_normal(shape).astype(dtype)
+    )
+
+
+def inner(a, b):
+    """Paired-real inner product sum(a_r b_r + a_i b_i) in float64."""
+    ar, ai = a.real.astype(np.float64), a.imag.astype(np.float64)
+    return float((ar * b.real).sum() + (ai * b.imag).sum())
+
+
+def inner_loss(y, probe):
+    """<y, probe> as a real scalar tensor: its gradient wrt y is ``probe``."""
+    s = ct.sum_all(ct.mul_split(y, probe))
+    return ct.add(ct.real_part(s), ct.imag_part(s))
+
+
+class TestConvGeometry:
+    """Conv and conv-transpose against loop oracles and each other, per geometry."""
+
+    def _case(self, geometry, rank, dtype, seed):
+        (t, f), k, s, p = geometry
+        rng = np.random.default_rng(seed)
+        lead = (2,) if rank == 4 else ()
+        x = rand_typed(rng, lead + (t, f, 2), dtype)
+        w = rand_typed(rng, (3, 2) + k, dtype)  # conv: 2 -> 3 channels
+        return rng, x, w, s, p
+
+    @staticmethod
+    def _rtol(dtype):
+        return 1e-12 if dtype == np.float64 else 2e-5
+
+    @pytest.mark.parametrize("geometry,rank,dtype", GEOMETRY_CASES)
+    def test_conv_matches_naive_loop(self, geometry, rank, dtype):
+        _, x, w, s, p = self._case(geometry, rank, dtype, 60)
+        y = ly.complex_conv2d(x, w, s, p)
+        assert y.dtype == dtype
+        xs = x.to_complex().reshape((-1,) + x.shape[-3:])
+        want = np.stack([naive_complex_conv(xb, w.to_complex(), s, p) for xb in xs])
+        np.testing.assert_allclose(
+            y.to_complex().reshape(want.shape), want, atol=10 * self._rtol(dtype)
+        )
+
+    @pytest.mark.parametrize("geometry,rank,dtype", GEOMETRY_CASES)
+    def test_transpose_matches_naive_loop(self, geometry, rank, dtype):
+        rng, x, w, s, p = self._case(geometry, rank, dtype, 61)
+        spatial = x.shape[-3:-1]
+        z = rand_typed(rng, ly.complex_conv2d(x, w, s, p).shape, dtype)
+        # the transpose maps conv outputs back: its kernel is [C_in, C_out] = w's [3, 2]
+        y = ly.complex_conv_transpose2d(z, w, s, p, spatial)
+        assert y.dtype == dtype and y.shape == x.shape
+        zs = z.to_complex().reshape((-1,) + z.shape[-3:])
+        want = np.stack(
+            [naive_complex_conv_transpose(zb, w.to_complex(), s, p, spatial) for zb in zs]
+        )
+        np.testing.assert_allclose(
+            y.to_complex().reshape(want.shape), want, atol=10 * self._rtol(dtype)
+        )
+
+    @pytest.mark.parametrize("geometry,rank,dtype", GEOMETRY_CASES)
+    def test_input_gradient_is_adjoint(self, geometry, rank, dtype):
+        # <op(x), y> == <x, vjp_x(y)> for the conv and for its transpose
+        rng, x, w, s, p = self._case(geometry, rank, dtype, 62)
+        y_probe = rand_typed(rng, ly.complex_conv2d(x, w, s, p).shape, dtype)
+        z = rand_typed(rng, y_probe.shape, dtype)
+        x_probe = rand_typed(rng, x.shape, dtype)
+        spatial = x.shape[-3:-1]
+        for op, arg, probe in (
+            (lambda a: ly.complex_conv2d(a, w, s, p), x, y_probe),
+            (lambda a: ly.complex_conv_transpose2d(a, w, s, p, spatial), z, x_probe),
+        ):
+            (vjp,) = analytic_gradients(lambda: inner_loss(op(arg), probe), [arg])
+            assert vjp[0].dtype == vjp[1].dtype == dtype
+            lhs, rhs = inner(op(arg), probe), inner(arg, ComplexTensor(*vjp))
+            assert abs(lhs - rhs) <= self._rtol(dtype) * max(abs(lhs), 1.0)
+
+    @pytest.mark.parametrize("geometry,rank,dtype", GEOMETRY_CASES)
+    def test_transpose_is_conv_vjp_x_with_conjugate_kernel(self, geometry, rank, dtype):
+        rng, x, w, s, p = self._case(geometry, rank, dtype, 63)
+        w_conj = ComplexTensor(w.real, -w.imag)
+        z = rand_typed(rng, ly.complex_conv2d(x, w, s, p).shape, dtype)
+        (vjp_x,) = analytic_gradients(
+            lambda: inner_loss(ly.complex_conv2d(x, w_conj, s, p), z), [x]
+        )
+        up = ly.complex_conv_transpose2d(z, w, s, p, x.shape[-3:-1])
+        scale = np.abs(up.to_complex()).max()
+        np.testing.assert_allclose(up.real, vjp_x[0], atol=self._rtol(dtype) * scale)
+        np.testing.assert_allclose(up.imag, vjp_x[1], atol=self._rtol(dtype) * scale)
+
+    @pytest.mark.parametrize(
+        "geometry,rank", [(g, r) for g in CONV_GEOMETRIES for r in (3, 4)]
+    )
+    def test_kernel_gradients_match_finite_differences(self, geometry, rank):
+        rng, x, w, s, p = self._case(geometry, rank, np.float64, 64)
+        z = rand_typed(rng, ly.complex_conv2d(x, w, s, p).shape, np.float64)
+        spatial = x.shape[-3:-1]
+        for build in (
+            lambda: ct.sum_abs2(ly.complex_conv2d(x, w, s, p)),
+            lambda: ct.sum_abs2(ly.complex_conv_transpose2d(z, w, s, p, spatial)),
+        ):
+            analytic = analytic_gradients(build, [w])
+            numeric = finite_difference_gradients(lambda: float(build().real), [w])
+            assert max_relative_error(analytic, numeric) < 1e-7
 
 
 class TestComplexBatchNorm:

@@ -242,6 +242,21 @@ class TestDccrnForward:
         mag = np.hypot(mask.real, mask.imag)
         assert np.all(mag <= 1.0)
 
+    def test_paper_scale_forward(self):
+        # the only test reaching 256x256 maps and the 256-channel layers
+        cfg = ModelConfig.paper_scale(batch_size=1, dtype="float32")
+        model = DccrnModel(cfg)
+        rng = np.random.default_rng(124)
+        shape = (cfg.image_frames, cfg.image_bins, 1)
+        x = ComplexTensor(
+            rng.standard_normal(shape).astype(np.float32),
+            rng.standard_normal(shape).astype(np.float32),
+        )
+        mask = model.forward(x, training=False)
+        assert x.shape == (256, 256, 1) and mask.shape == x.shape
+        assert mask.dtype == np.float32
+        assert np.all(np.isfinite(mask.real)) and np.all(np.isfinite(mask.imag))
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             ModelConfig(channels=(4, 7), num_enc_layers=2).validate()
