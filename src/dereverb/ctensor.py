@@ -76,27 +76,6 @@ class ComplexTensor:
         tag = "" if self.node_id is None else f", node={self.node_id}"
         return f"ComplexTensor(shape={self.shape}{tag})"
 
-    # Arithmetic sugar; the module-level functions do the work.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __mul__(self, c):
-        if isinstance(c, ComplexTensor):
-            return cmul(self, c)
-        return scale(self, c)
-
-    def __rmul__(self, c):
-        return scale(self, c)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 class TapeNode:
     __slots__ = ("op", "inputs", "vjps")
@@ -139,7 +118,8 @@ class GradTape:
 
         ``loss`` must be a real scalar recorded on this tape.  Returns a dict
         mapping node id to an ``(grad_real, grad_imag)`` pair with the same
-        shapes as that node's output parts.  The tape is consumed afterwards.
+        shapes as that node's output parts.  The tape is consumed: each node
+        is released once walked, and the tape is empty afterwards.
         """
         if loss.tape is not self or loss.node_id is None:
             raise ContractError("loss is not a node on this tape")
@@ -155,11 +135,15 @@ class GradTape:
         grads = {
             loss.node_id: [np.ones_like(loss.real), np.zeros_like(loss.imag), True]
         }
+        # a node's vjps hold its saved forward arrays and tensors that point
+        # back at this tape: left in place, that cycle keeps the whole step
+        # alive until the cyclic GC happens to run
+        nodes, self.nodes = self.nodes, []
         for nid in range(loss.node_id, -1, -1):
+            node, nodes[nid] = nodes[nid], None
             entry = grads.get(nid)
             if entry is None:
                 continue
-            node = self.nodes[nid]
             for inp_id, vjp in zip(node.inputs, node.vjps):
                 gr, gi = vjp(entry[0], entry[1])
                 acc = grads.get(inp_id)
@@ -353,17 +337,6 @@ def crelu(a):
     )
 
 
-def sigmoid_split(a):
-    sr = 1.0 / (1.0 + np.exp(-a.real))
-    si = 1.0 / (1.0 + np.exp(-a.imag))
-    return _emit(
-        "sigmoid_split",
-        sr,
-        si,
-        [(a, lambda gr, gi: (gr * sr * (1.0 - sr), gi * si * (1.0 - si)))],
-    )
-
-
 def tanh_split(a):
     tr = np.tanh(a.real)
     ti = np.tanh(a.imag)
@@ -438,23 +411,38 @@ def compress_mag(a, c):
 # ---------------------------------------------------------------------------
 
 
+def _cmm(a, b):
+    """Complex product of (real, imag) part pairs.  :func:`matmul` and the
+    fused GRU form their products and vjps with these three, so they round alike."""
+    (ar, ai), (br, bi) = a, b
+    return ar @ br - ai @ bi, ar @ bi + ai @ br
+
+
+def _cmm_vjp_a(g, b):
+    (gr, gi), (br, bi) = g, b
+    return gr @ br.T + gi @ bi.T, -gr @ bi.T + gi @ br.T
+
+
+def _cmm_vjp_b(a, g):
+    (ar, ai), (gr, gi) = a, g
+    return ar.T @ gr + ai.T @ gi, -ai.T @ gr + ar.T @ gi
+
+
 def matmul(a, b):
     """Complex matrix product of rank-2 tensors [MxK] @ [KxN]."""
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul needs rank-2 operands, got {a.shape} @ {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    out_r = ar @ br - ai @ bi
-    out_i = ar @ bi + ai @ br
-
-    def vjp_a(gr, gi):
-        return (gr @ br.T + gi @ bi.T, -gr @ bi.T + gi @ br.T)
-
-    def vjp_b(gr, gi):
-        return (ar.T @ gr + ai.T @ gi, -ai.T @ gr + ar.T @ gi)
-
-    return _emit("matmul", out_r, out_i, [(a, vjp_a), (b, vjp_b)])
+    pa, pb = (a.real, a.imag), (b.real, b.imag)
+    return _emit(
+        "matmul",
+        *_cmm(pa, pb),
+        [
+            (a, lambda gr, gi: _cmm_vjp_a((gr, gi), pb)),
+            (b, lambda gr, gi: _cmm_vjp_b(pa, (gr, gi))),
+        ],
+    )
 
 
 def matmul_split(a, b):

@@ -74,10 +74,12 @@ def gru_scenario(rng):
     return loss, [x] + [p for _, p in cell.parameters()]
 
 
-def _attention_scenario(variant):
+def _attention_scenario(variant, batch=None):
+    """A block on a [T, F, C] map, or on a [B, T, F, C] batch as the model runs it."""
+
     def factory(rng):
         block = TFAttentionBlock(variant, 2, 3, 3, rng=rng)
-        x = _tensor(rng, 3, 3, 2)
+        x = _tensor(rng, *((batch,) if batch else ()), 3, 3, 2)
 
         def loss():
             return ct.sum_abs2(block(x))
@@ -106,4 +108,5 @@ SCENARIOS = [
     ("attention: conventional", _attention_scenario("conventional")),
     ("attention: complex", _attention_scenario("complex")),
     ("compressed complex loss", compressed_loss_scenario),
+    ("attention: complex, rank 4 (B=2)", _attention_scenario("complex", batch=2)),
 ]

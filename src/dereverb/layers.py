@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import ctensor as ct
-from .ctensor import ComplexTensor, _emit
+from .ctensor import ComplexTensor, _cmm, _cmm_vjp_a, _cmm_vjp_b, _emit
 from .errors import ContractError, ShapeError
 
 
@@ -294,11 +294,6 @@ def _swap_parts(x):
     return ct.make_complex(ct.imag_part(x), ct.real_part(x))
 
 
-def _one_minus_split(z):
-    # per-part 1 - z for gating
-    return ct.shift(ct.neg(z), 1 + 1j)
-
-
 # running-stat rows of ComplexBatchNorm and their initial values: unit
 # complex power split evenly across the parts
 _RUNNING_STATS = (
@@ -396,6 +391,11 @@ class ComplexBatchNorm:
 # ---------------------------------------------------------------------------
 
 
+def _acc(total, term):
+    """``total + term`` per part, starting from None: the tape's running sum."""
+    return term if total is None else [t + u for t, u in zip(total, term)]
+
+
 class ComplexGruCell:
     """GRU cell with complex matrix products and per-part gate nonlinearities.
 
@@ -427,43 +427,94 @@ class ComplexGruCell:
         ]
 
     def run(self, x_seq):
-        """Run over a [B, T, D] sequence; returns hidden states [B, T, H].
+        """Run over a [B, T, D] sequence from a zero state; returns the hidden
+        states [B, T, H] as one tape node with a hand-written BPTT vjp.
 
-        The input-side gate projections are batched over all timesteps up
-        front; only the recurrent half runs step by step.
+        The input projections of all three gates are batched over all steps;
+        the recurrent half runs step by step.  Forward and vjp form every
+        product and sum of the recurrence written as per-step tape ops (complex
+        ``matmul``, per-part sigmoid, tanh and products, ``stack``) in that
+        chain's order, so outputs and gradients equal it bit for bit; what goes
+        is its 21 tape nodes per step and the sequence-sized zero array behind
+        each per-step slice's vjp.
         """
         if x_seq.ndim != 3 or x_seq.shape[-1] != self.input_cc:
             raise ShapeError(
                 f"GRU input {x_seq.shape} is not [B, T, D] with D={self.input_cc}"
             )
         batch, steps, d = x_seq.shape
-        h_cc = self.hidden_cc
-        flat = ct.reshape(x_seq, (batch * steps, d))
-        px = {
-            gate: ct.reshape(ct.matmul(flat, w), (batch, steps, h_cc))
-            for gate, w in (("z", self.w_z), ("r", self.w_r), ("h", self.w_h))
-        }
-        h = ComplexTensor(
-            np.zeros((batch, h_cc), dtype=x_seq.dtype),
-            np.zeros((batch, h_cc), dtype=x_seq.dtype),
+        n = self.hidden_cc
+        xs = (x_seq.real.reshape(batch * steps, d), x_seq.imag.reshape(batch * steps, d))
+        ws, us, bs = (
+            [(p.real, p.imag) for p in group]
+            for group in (
+                (self.w_z, self.w_r, self.w_h),
+                (self.u_z, self.u_r, self.u_h),
+                (self.b_z, self.b_r, self.b_h),
+            )
         )
-        outs = []
+        px = [[p.reshape(batch, steps, n) for p in _cmm(xs, w)] for w in ws]
+        h = [np.zeros((batch, n), dtype=x_seq.dtype) for _ in range(2)]
+        saved, outs = [], []  # saved per step: h_{t-1}, z, r, r .* h_{t-1}, candidate
         for t in range(steps):
-            z = ct.sigmoid_split(
-                ct.add(ct.add(ct.index_axis(px["z"], 1, t), ct.matmul(h, self.u_z)), self.b_z)
+            z, r = (
+                [1.0 / (1.0 + np.exp(-(p[:, t] + q + b)))
+                 for p, q, b in zip(px[k], _cmm(h, us[k]), bs[k])]
+                for k in (0, 1)
             )
-            r = ct.sigmoid_split(
-                ct.add(ct.add(ct.index_axis(px["r"], 1, t), ct.matmul(h, self.u_r)), self.b_r)
-            )
-            cand = ct.tanh_split(
-                ct.add(
-                    ct.add(
-                        ct.index_axis(px["h"], 1, t),
-                        ct.matmul(ct.mul_split(r, h), self.u_h),
-                    ),
-                    self.b_h,
-                )
-            )
-            h = ct.add(ct.mul_split(_one_minus_split(z), h), ct.mul_split(z, cand))
+            rh = [rp * hp for rp, hp in zip(r, h)]
+            c = [np.tanh(p[:, t] + q + b) for p, q, b in zip(px[2], _cmm(rh, us[2]), bs[2])]
+            saved.append((h, z, r, rh, c))
+            h = [(1.0 - zp) * hp + zp * cp for zp, hp, cp in zip(z, h, c)]
             outs.append(h)
-        return ct.stack(outs, axis=1)
+
+        def bptt(gr, gi):
+            """Gradients of x and of the parameters, in :meth:`parameters` order."""
+            dpx = [[np.zeros_like(p) for p in pair] for pair in px]
+            du, db = [None] * 3, [None] * 3
+            dh = [gr[:, -1], gi[:, -1]]
+            for t in range(steps - 1, -1, -1):
+                hp, z, r, rh, c = saved[t]
+                dz = [g * cp - g * hq for g, cp, hq in zip(dh, c, hp)]
+                dah = [g * zp * (1.0 - cp * cp) for g, zp, cp in zip(dh, z, c)]
+                drh = _cmm_vjp_a(dah, us[2])
+                dar = [g * hq * rp * (1.0 - rp) for g, hq, rp in zip(drh, hp, r)]
+                daz = [g * zp * (1.0 - zp) for g, zp in zip(dz, z)]
+                for k, (dpre, a) in enumerate(((daz, hp), (dar, hp), (dah, rh))):
+                    for dp, g in zip(dpx[k], dpre):
+                        dp[:, t] = g
+                    du[k] = _acc(du[k], _cmm_vjp_b(a, dpre))
+                    db[k] = _acc(db[k], [g.sum(axis=0) for g in dpre])
+                if t:  # h_{t-1} feeds output t-1 and, in this step, the gating,
+                    # r .* h, h U_r and h U_z: the tape walk adds them in that order
+                    terms = (
+                        [g * (1.0 - zp) for g, zp in zip(dh, z)],
+                        [g * rp for g, rp in zip(drh, r)],
+                        _cmm_vjp_a(dar, us[1]),
+                        _cmm_vjp_a(daz, us[0]),
+                    )
+                    dh = [gr[:, t - 1], gi[:, t - 1]]
+                    for term in terms:
+                        dh = _acc(dh, term)
+            dx = None
+            for k in (2, 1, 0):  # the tape walk meets the projections last-made first
+                dx = _acc(dx, _cmm_vjp_a([g.reshape(batch * steps, n) for g in dpx[k]], ws[k]))
+            dw = [_cmm_vjp_b(xs, [g.reshape(batch * steps, n) for g in dpx[k]]) for k in range(3)]
+            return [[g.reshape(x_seq.shape) for g in dx]] + dw + du + db
+
+        memo = []
+
+        def vjp(k):
+            # GradTape.backward calls every input's vjp with the same output
+            # gradient: the first call runs BPTT once, each takes its own entry
+            def take(gr, gi):
+                if not memo:
+                    memo.append(bptt(gr, gi))
+                grad, memo[0][k] = memo[0][k], None
+                return grad
+
+            return take
+
+        srcs = [(x_seq, vjp(0))] + [(p, vjp(k)) for k, (_, p) in enumerate(self.parameters(), 1)]
+        out = [np.stack([o[k] for o in outs], axis=1) for k in range(2)]
+        return _emit("gru_run", out[0], out[1], srcs)

@@ -354,7 +354,7 @@ class DccrnModel:
     @classmethod
     def from_checkpoint(cls, path):
         arrays, meta = load_checkpoint(path)
-        if "model_config" not in meta:
+        if not isinstance(meta, dict) or "model_config" not in meta:
             raise DataError(f"{path}: checkpoint carries no model config")
         try:
             cfg = ModelConfig.from_dict(meta["model_config"])

@@ -263,6 +263,10 @@ def read_wav(path, expected_rate: int | None = None) -> WaveForm:
             raw = fh.readframes(fh.getnframes())
     except (wave.Error, EOFError) as exc:
         raise DataError(f"{path}: not a readable WAV file: {exc}") from exc
+    except RuntimeError as exc:  # wave's bare error for a seek past a chunk's end
+        raise DataError(f"{path}: not a readable WAV file: chunk size past its end") from exc
+    if len(raw) % 2:
+        raise DataError(f"{path}: data chunk ends inside a 16-bit sample ({len(raw)} bytes)")
     if expected_rate is not None and rate != expected_rate:
         raise ContractError(
             f"{path}: sample rate {rate} Hz does not match expected {expected_rate} Hz"

@@ -411,6 +411,46 @@ class TestComplexBatchNorm:
         assert max_relative_error(analytic, numeric) < 1e-4
 
 
+def taped_gru_run(cell, x_seq):
+    """Reference recurrence: the GRU as a chain of per-step tape ops.
+
+    Each step slices the batched input projections with ``index_axis`` and
+    records the gate products, nonlinearities and gating as separate nodes;
+    the split sigmoid 1 / (1 + exp(-a)) is one node per gate.
+    """
+    batch, steps, d = x_seq.shape
+    h_cc = cell.hidden_cc
+
+    def sigmoid_split(a):
+        sr, si = (1.0 / (1.0 + np.exp(-p)) for p in (a.real, a.imag))
+        vjp = lambda gr, gi: (gr * sr * (1.0 - sr), gi * si * (1.0 - si))
+        return ct._emit("sigmoid_split", sr, si, [(a, vjp)])
+
+    flat = ct.reshape(x_seq, (batch * steps, d))
+    px = {
+        gate: ct.reshape(ct.matmul(flat, w), (batch, steps, h_cc))
+        for gate, w in (("z", cell.w_z), ("r", cell.w_r), ("h", cell.w_h))
+    }
+    h = ComplexTensor(*(np.zeros((batch, h_cc), dtype=x_seq.dtype) for _ in range(2)))
+    outs = []
+    for t in range(steps):
+        z = sigmoid_split(
+            ct.add(ct.add(ct.index_axis(px["z"], 1, t), ct.matmul(h, cell.u_z)), cell.b_z)
+        )
+        r = sigmoid_split(
+            ct.add(ct.add(ct.index_axis(px["r"], 1, t), ct.matmul(h, cell.u_r)), cell.b_r)
+        )
+        cand = ct.tanh_split(
+            ct.add(
+                ct.add(ct.index_axis(px["h"], 1, t), ct.matmul(ct.mul_split(r, h), cell.u_h)),
+                cell.b_h,
+            )
+        )
+        h = ct.add(ct.mul_split(ct.shift(ct.neg(z), 1 + 1j), h), ct.mul_split(z, cand))
+        outs.append(h)
+    return ct.stack(outs, axis=1)
+
+
 class TestComplexGru:
     def test_zero_weights_halve_hidden(self):
         # zero weights: z = r = 1/2, candidate tanh(b_h), so each step halves
@@ -493,6 +533,77 @@ class TestComplexGru:
         analytic = analytic_gradients(build, params)
         numeric = finite_difference_gradients(lambda: float(build().real), params)
         assert max_relative_error(analytic, numeric) < 1e-4
+
+    # desk bottleneck shape, and a ragged one with D != H
+    ORACLE_SHAPES = [(4, 64, 64, 16), (3, 5, 7, 4)]
+
+    def _oracle_case(self, seed, shape, dtype=np.float64):
+        batch, steps, d, h = shape
+        rng = np.random.default_rng(seed)
+        cell = ly.ComplexGruCell(d, h, rng=rng, dtype=dtype)
+        for _, p in cell.parameters():
+            p.real += 0.1 * rng.standard_normal(p.shape)
+            p.imag += 0.1 * rng.standard_normal(p.shape)
+        x, w = rand_ct(rng, batch, steps, d), rand_ct(rng, batch, steps, h)
+        cast = lambda t: ComplexTensor(t.real.astype(dtype), t.imag.astype(dtype))
+        return cell, cast(x), cast(w)
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
+    def test_run_matches_taped_recurrence(self, shape):
+        cell, x, _ = self._oracle_case(55, shape)
+        got, want = cell.run(x), taped_gru_run(cell, x)
+        assert got.shape == want.shape == shape[:2] + (shape[3],)
+        np.testing.assert_allclose(got.real, want.real, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.imag, want.imag, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("taped", ["all", "u_only"])
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
+    def test_gradients_match_taped_recurrence(self, shape, taped):
+        # "u_only" leaves x and all but u_* off the tape, so the node's vjp
+        # memo serves a subset of its inputs
+        cell, x, w = self._oracle_case(56, shape)
+        named = [("x", x)] + cell.parameters()
+        params = [p for name, p in named if taped == "all" or name.startswith("u_")]
+
+        def loss(run):
+            return lambda: ct.sum_all(ct.real_part(ct.cmul(run(x), w)))
+
+        got = analytic_gradients(loss(cell.run), params)
+        want = analytic_gradients(loss(lambda s: taped_gru_run(cell, s)), params)
+        assert len(got) == len(params) == (10 if taped == "all" else 3)
+        for (gr, gi), (wr, wi) in zip(got, want):
+            scale = max(np.abs(wr).max(), np.abs(wi).max())
+            assert scale > 0
+            np.testing.assert_allclose(gr, wr, rtol=0, atol=1e-12 * scale)
+            np.testing.assert_allclose(gi, wi, rtol=0, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
+    def test_bit_identical_to_taped_recurrence(self, shape, dtype):
+        # the fused op forms every product and sum of the per-step chain in its
+        # order, so a training run rounds exactly as it did with the chain
+        cell, x, w = self._oracle_case(58, shape, dtype)
+        params = [x] + [p for _, p in cell.parameters()]
+        outs, grads = [], []
+        for run in (cell.run, lambda s: taped_gru_run(cell, s)):
+            outs.append(run(x))
+            grads.append(
+                analytic_gradients(lambda: ct.sum_all(ct.real_part(ct.cmul(run(x), w))), params)
+            )
+        assert outs[0].dtype == outs[1].dtype == dtype
+        np.testing.assert_array_equal(outs[0].real, outs[1].real)
+        np.testing.assert_array_equal(outs[0].imag, outs[1].imag)
+        for (gr, gi), (wr, wi) in zip(*grads):
+            np.testing.assert_array_equal(gr, wr)
+            np.testing.assert_array_equal(gi, wi)
+
+    def test_run_is_one_tape_node(self):
+        cell, x, _ = self._oracle_case(57, (2, 6, 3, 2))
+        tape = ct.GradTape()
+        tape.watch(x)
+        before = len(tape)
+        out = cell.run(x)
+        assert len(tape) == before + 1 and tape.nodes[out.node_id].op == "gru_run"
 
 
 class TestUnitaryInit:

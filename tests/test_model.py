@@ -212,6 +212,27 @@ class TestDccrnForward:
         numeric = finite_difference_gradients(lambda: float(build().real), subset)
         assert max_relative_error(analytic, numeric) < 1e-4
 
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_whole_model_gradcheck_eval_mode(self, bounded):
+        # every parameter of a shrunken model, through eval-mode batchnorm
+        # (running stats moved off their init), complex attention on rank-4
+        # maps, the fused GRU and, when on, the bounded mask
+        cfg = tiny_config(batch_size=1, channels=(2, 4), image_frames=6, bounded_mask=bounded)
+        model = DccrnModel(cfg)
+        rng = np.random.default_rng(130)
+        model.forward(rand_images(rng, cfg, batch=4), training=True)
+        x = rand_images(rng, cfg, batch=1)
+        target = rand_images(rng, cfg, batch=1)
+        params = [x] + [p for _, p in model.parameters()]
+
+        def build():
+            s_hat = ct.cmul(model.forward(x, training=False), x)
+            return complex_loss(target, s_hat, cfg.compress_exponent, cfg.loss_beta)
+
+        analytic = analytic_gradients(build, params)
+        numeric = finite_difference_gradients(lambda: float(build().real), params)
+        assert max_relative_error(analytic, numeric) < 1e-4
+
     def test_checkpoint_roundtrip_bit_identical_forward(self, tmp_path):
         cfg = tiny_config()
         model = DccrnModel(cfg)
