@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -120,9 +121,12 @@ def _cmd_train(args, argv):
 
 
 def _cmd_enhance(args, argv):
+    t0 = time.perf_counter()
     model = DccrnModel.from_checkpoint(args.ckpt)
     wf = read_wav(args.infile, expected_rate=model.cfg.sample_rate)
     enhanced = enhance_waveform(model, wf)
+    if not np.isfinite(enhanced.samples).all():
+        raise DataError(f"{args.ckpt}: the model's output is not finite; no WAV written")
     peak = float(np.max(np.abs(enhanced.samples))) if len(enhanced) else 0.0
     if peak > 1.0:
         enhanced.samples = enhanced.samples * (0.99 / peak)
@@ -138,6 +142,9 @@ def _cmd_enhance(args, argv):
          "normalized": peak > 1.0},
         {"wav": out.name},
     )
+    wall, audio = time.perf_counter() - t0, len(wf) / wf.sample_rate
+    print(f"enhance: {wall:.3f} s wall for {audio:.3f} s of audio (RTF {wall / audio:.3f})",
+          file=sys.stderr)
     print(f"enhanced {args.infile} -> {out}")
     return 0
 

@@ -4,8 +4,9 @@ Common analysis: 32 ms Hann frames with 8 ms hop, LPC order 12 via
 autocorrelation + Levinson-Durbin (R[0] regularized by 1e-10*R[0]).  Frames
 whose reference energy falls more than 40 dB below the loudest reference
 frame are excluded from every metric, so silence padding does not shift
-scores.  These are trend metrics: constants are stated here, not tuned to
-any external toolkit.
+scores.  Each metric analyses all of a clip's gated frames at once, as
+[N, frame] arrays.  These are trend metrics: constants are stated here, not
+tuned to any external toolkit.
 """
 
 from __future__ import annotations
@@ -39,77 +40,83 @@ def _frame_pair(ref: WaveForm, test: WaveForm):
     n = min(len(ref), len(test))
     if n < frame:
         raise ContractError(f"signals shorter than one 32 ms frame ({frame} samples)")
-    num = (n - frame) // hop + 1
     win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(frame) / frame)
-    idx = np.arange(frame)[None, :] + hop * np.arange(num)[:, None]
-    fr = ref.samples[:n][idx] * win
-    ft = test.samples[:n][idx] * win
-    energy = np.sum(fr * fr, axis=1)
+    # [num, frame] views of the unwindowed frames; only gated frames are copied
+    vr, vt = (np.lib.stride_tricks.sliding_window_view(x.samples[:n], frame)[::hop]
+              for x in (ref, test))
+    energy = np.einsum("ij,j,ij->i", vr, win * win, vr)
     peak = energy.max()
     if peak <= 0.0:
         raise ContractError("reference signal is silent; metrics undefined")
     keep = energy >= peak * 10.0 ** (-ENERGY_GATE_DB / 10.0)
     if not keep.any():
         raise ContractError("no reference frames above the energy gate")
-    return fr[keep], ft[keep]
+    fr, ft = vr[keep], vt[keep]
+    fr *= win
+    ft *= win
+    return fr, ft
 
 
-def _autocorr(frame, order):
-    n = frame.size
-    r = np.empty(order + 1)
-    for k in range(order + 1):
-        r[k] = np.dot(frame[: n - k], frame[k:])
-    r[0] *= 1.0 + 1e-10
-    return r
+def _autocorr(x):
+    """Lags 0..LPC_ORDER of each row's autocorrelation: [N, LPC_ORDER + 1]."""
+    n = x.shape[1]
+    return np.stack(
+        [np.einsum("ij,ij->i", x[:, : n - k], x[:, k:]) for k in range(LPC_ORDER + 1)],
+        axis=1,
+    )
 
 
-def _levinson(r, order):
-    """Predictor coefficients a (s[n] ~ sum a_k s[n-k]); None if degenerate."""
-    if r[0] <= 0.0:
-        return None
-    a = np.zeros(order)
-    e = r[0]
-    for i in range(order):
-        acc = r[i + 1] - np.dot(a[:i], r[i:0:-1])
-        k = acc / e
-        a_next = a.copy()
-        a_next[i] = k
-        if i:
-            a_next[:i] = a[:i] - k * a[i - 1 :: -1]
-        a = a_next
-        e *= 1.0 - k * k
-        if e <= 0.0:
-            return None
-    return a
+def _lpc(frames):
+    """Levinson-Durbin on every frame at once.
+
+    Returns the regularized autocorrelation r [N, p+1], the predictor
+    coefficients a [N, p] (s[n] ~ sum a_k s[n-k]) and the mask of frames that
+    are not degenerate.  A frame is degenerate from the first step where
+    r[0] <= 0 or the prediction error e <= 0; its row of ``a`` is then
+    meaningless (possibly inf or NaN) and must be dropped by the caller.
+    """
+    r = _autocorr(frames)
+    r[:, 0] *= 1.0 + 1e-10
+    a = np.zeros((frames.shape[0], LPC_ORDER))
+    e = r[:, 0].copy()
+    bad = e <= 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(LPC_ORDER):
+            k = (r[:, i + 1] - np.einsum("ij,ij->i", a[:, :i], r[:, i:0:-1])) / e
+            a[:, :i] = a[:, :i] - k[:, None] * a[:, :i][:, ::-1]
+            a[:, i] = k
+            e = e * (1.0 - k * k)
+            bad |= e <= 0.0
+    return r, a, ~bad
 
 
 def _lpc_cepstrum(a):
-    """Minimum-phase cepstrum c_1..c_p of the all-pole model 1/A(z)."""
-    p = a.size
-    c = np.zeros(p)
+    """Minimum-phase cepstra c_1..c_p [N, p] of the all-pole models 1/A(z)."""
+    p = a.shape[1]
+    c = np.zeros_like(a)
     for n in range(1, p + 1):
-        acc = a[n - 1]
-        for k in range(1, n):
-            acc += (k / n) * c[k - 1] * a[n - k - 1]
-        c[n - 1] = acc
+        past = np.einsum("ij,j,ij->i", c[:, : n - 1], np.arange(1, n) / n, a[:, : n - 1][:, ::-1])
+        c[:, n - 1] = a[:, n - 1] + past
     return c
 
 
 def cepstral_distance(ref: WaveForm, test: WaveForm) -> float:
     """Mean LPC-cepstral distance in dB over energy-gated frames (lower = better)."""
     fr, ft = _frame_pair(ref, test)
-    scale = 10.0 / math.log(10.0)
-    values = []
-    for i in range(fr.shape[0]):
-        a_ref = _levinson(_autocorr(fr[i], LPC_ORDER), LPC_ORDER)
-        a_test = _levinson(_autocorr(ft[i], LPC_ORDER), LPC_ORDER)
-        if a_ref is None or a_test is None:
-            continue
-        d = _lpc_cepstrum(a_ref) - _lpc_cepstrum(a_test)
-        values.append(scale * math.sqrt(2.0 * np.dot(d, d)))
-    if not values:
+    _, a_ref, ok_ref = _lpc(fr)
+    _, a_test, ok_test = _lpc(ft)
+    ok = ok_ref & ok_test
+    if not ok.any():
         raise ContractError("no valid frames for cepstral distance")
-    return float(np.mean(values))
+    d = _lpc_cepstrum(a_ref[ok]) - _lpc_cepstrum(a_test[ok])
+    scale = 10.0 / math.log(10.0)
+    return float(np.mean(scale * np.sqrt(2.0 * np.einsum("ij,ij->i", d, d))))
+
+
+def _toeplitz_form(r, v):
+    """v^T R v per row, R the symmetric Toeplitz matrix of lags r (both [N, p+1])."""
+    c = _autocorr(v)
+    return r[:, 0] * c[:, 0] + 2.0 * np.einsum("ij,ij->i", r[:, 1:], c[:, 1:])
 
 
 def llr(ref: WaveForm, test: WaveForm, return_skipped=False):
@@ -120,30 +127,20 @@ def llr(ref: WaveForm, test: WaveForm, return_skipped=False):
     ``(value, skipped_count)``.
     """
     fr, ft = _frame_pair(ref, test)
-    values = []
-    skipped = 0
-    for i in range(fr.shape[0]):
-        r_ref = _autocorr(fr[i], LPC_ORDER)
-        a_ref = _levinson(r_ref, LPC_ORDER)
-        a_test = _levinson(_autocorr(ft[i], LPC_ORDER), LPC_ORDER)
-        if a_ref is None or a_test is None:
-            skipped += 1
-            continue
-        # error-filter rows [1, -a_1, ..., -a_p] against the reference autocorrelation
-        va = np.concatenate(([1.0], -a_ref))
-        vb = np.concatenate(([1.0], -a_test))
-        lags = np.abs(np.arange(LPC_ORDER + 1)[:, None] - np.arange(LPC_ORDER + 1)[None, :])
-        r_mat = r_ref[lags]
-        num = vb @ r_mat @ vb
-        den = va @ r_mat @ va
-        if num <= 0.0 or den <= 0.0:
-            skipped += 1
-            continue
-        values.append(max(0.0, math.log(num / den)))
-    if not values:
+    r_ref, a_ref, ok_ref = _lpc(fr)
+    _, a_test, ok_test = _lpc(ft)
+    ok = ok_ref & ok_test
+    r = r_ref[ok]
+    # error-filter rows [1, -a_1, ..., -a_p] against the reference autocorrelation
+    ones = np.ones((r.shape[0], 1))
+    num = _toeplitz_form(r, np.concatenate([ones, -a_test[ok]], axis=1))
+    den = _toeplitz_form(r, np.concatenate([ones, -a_ref[ok]], axis=1))
+    pos = (num > 0.0) & (den > 0.0)
+    skipped = int(fr.shape[0] - np.count_nonzero(pos))
+    if not pos.any():
         raise ContractError(f"no valid frames for LLR ({skipped} skipped)")
-    values.sort()
-    keep = max(1, round(len(values) * LLR_KEEP_FRACTION))
+    values = np.sort(np.maximum(0.0, np.log(num[pos] / den[pos])))
+    keep = max(1, round(values.size * LLR_KEEP_FRACTION))
     result = float(np.mean(values[:keep]))
     return (result, skipped) if return_skipped else result
 
@@ -153,13 +150,17 @@ def _mel_filterbank(n_bands, nfft, fs):
     imel = lambda m: 700.0 * (10.0 ** (m / 2595.0) - 1.0)
     edges = imel(np.linspace(mel(0.0), mel(fs / 2.0), n_bands + 2))
     freqs = np.arange(nfft // 2 + 1) * fs / nfft
-    bank = np.zeros((n_bands, freqs.size))
-    for b in range(n_bands):
-        lo, mid, hi = edges[b], edges[b + 1], edges[b + 2]
-        rise = (freqs - lo) / max(mid - lo, 1e-12)
-        fall = (hi - freqs) / max(hi - mid, 1e-12)
-        bank[b] = np.clip(np.minimum(rise, fall), 0.0, None)
-    return bank
+    lo, mid, hi = (edges[i : i + n_bands, None] for i in range(3))
+    rise = (freqs - lo) / np.maximum(mid - lo, 1e-12)
+    fall = (hi - freqs) / np.maximum(hi - mid, 1e-12)
+    return np.clip(np.minimum(rise, fall), 0.0, None)
+
+
+def _band_energy(frames, bank):
+    """[N, bands]: each frame's power spectrum summed through the mel bank."""
+    power = np.abs(np.fft.rfft(frames, 2 * (bank.shape[1] - 1), axis=1))
+    power *= power
+    return power @ bank.T
 
 
 def fwsegsnr(ref: WaveForm, test: WaveForm) -> float:
@@ -170,26 +171,19 @@ def fwsegsnr(ref: WaveForm, test: WaveForm) -> float:
     to [-10, 35] dB and averaged over energy-gated frames.
     """
     fr, ft = _frame_pair(ref, test)
-    fs = ref.sample_rate
-    frame = fr.shape[1]
-    nfft = 1 << (frame - 1).bit_length()
-    bank = _mel_filterbank(FWSEG_BANDS, nfft, fs)
-    lo, hi = FWSEG_CLAMP
-    values = []
-    for i in range(fr.shape[0]):
-        spec_ref = np.abs(np.fft.rfft(fr[i], nfft)) ** 2
-        spec_diff = np.abs(np.fft.rfft(fr[i] - ft[i], nfft)) ** 2
-        e_ref = bank @ spec_ref
-        e_diff = bank @ spec_diff
-        weights = np.sqrt(np.maximum(e_ref, 0.0)) ** FWSEG_WEIGHT_EXP
-        wsum = weights.sum()
-        if wsum <= 0.0:
-            continue
-        snr = 10.0 * np.log10(np.maximum(e_ref, 1e-20) / np.maximum(e_diff, 1e-20))
-        values.append(min(hi, max(lo, float(np.dot(weights, snr) / wsum))))
-    if not values:
+    nfft = 1 << (fr.shape[1] - 1).bit_length()
+    bank = _mel_filterbank(FWSEG_BANDS, nfft, ref.sample_rate)
+    e_ref = _band_energy(fr, bank)
+    ft -= fr  # the difference frames; the sign leaves their power spectrum as it is
+    e_diff = _band_energy(ft, bank)
+    weights = np.sqrt(np.maximum(e_ref, 0.0)) ** FWSEG_WEIGHT_EXP
+    wsum = weights.sum(axis=1)
+    ok = wsum > 0.0
+    if not ok.any():
         raise ContractError("no valid frames for FWSegSNR")
-    return float(np.mean(values))
+    snr = 10.0 * np.log10(np.maximum(e_ref, 1e-20) / np.maximum(e_diff, 1e-20))
+    values = np.einsum("ij,ij->i", weights, snr)[ok] / wsum[ok]
+    return float(np.mean(np.clip(values, *FWSEG_CLAMP)))
 
 
 @dataclass

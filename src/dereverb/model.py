@@ -342,6 +342,8 @@ class DccrnModel:
             r, i = arrays[key]
             if r.shape != shape:
                 raise DataError(f"checkpoint entry {key!r} has shape {r.shape}, want {shape}")
+            if not (np.isfinite(r).all() and np.isfinite(i).all()):
+                raise DataError(f"checkpoint entry {key!r} holds non-finite values")
             return r, i
 
         for name, p in self.parameters():
@@ -361,7 +363,10 @@ class DccrnModel:
         except ConfigError as exc:
             raise DataError(f"{path}: bad model config: {exc}") from exc
         model = cls(cfg)
-        model.load_arrays(arrays)
+        try:
+            model.load_arrays(arrays)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from exc
         return model
 
     # -- forward --------------------------------------------------------------

@@ -237,7 +237,9 @@ def psd_smooth(spec: Spectrogram, alpha: float) -> Spectrogram:
 
 
 def write_wav(path, wf: WaveForm):
-    """Write 16-bit PCM mono; samples must already lie in [-1, 1]."""
+    """Write 16-bit PCM mono; samples must be finite and already lie in [-1, 1]."""
+    if not np.isfinite(wf.samples).all():
+        raise ContractError("samples are not finite (NaN or Inf); nothing written")
     peak = np.max(np.abs(wf.samples)) if len(wf) else 0.0
     if peak > 1.0:
         raise ContractError(f"samples exceed full scale (peak {peak:.3f}); normalize first")

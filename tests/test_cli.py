@@ -195,6 +195,52 @@ class TestEnhance:
         assert "model.ckpt" in err and field in err and len(err.strip().splitlines()) == 1
 
 
+    @pytest.mark.parametrize(
+        "entry,part,bad", [("head.w", 0, np.nan), ("buffer.enc0.bn.run_vrr", 0, np.inf)]
+    )
+    def test_non_finite_checkpoint_exits_2_without_wav(self, tmp_path, capsys, entry, part, bad):
+        ckpt = self._checkpoint(tmp_path)
+        arrays, meta = load_checkpoint(ckpt)
+        arrays[entry][part].flat[0] = bad
+        save_checkpoint(ckpt, arrays, meta)
+        write_wav(tmp_path / "in.wav", WaveForm(np.zeros(400), 500))
+        rc = main(
+            ["enhance", "--ckpt", str(ckpt), "--in", str(tmp_path / "in.wav"),
+             "--out", str(tmp_path / "out.wav")]
+        )
+        assert rc == 2
+        assert not (tmp_path / "out.wav").exists()
+        err = capsys.readouterr().err
+        assert "model.ckpt" in err and entry in err and len(err.strip().splitlines()) == 1
+
+    def test_non_finite_output_exits_2_without_wav(self, tmp_path, capsys, monkeypatch):
+        ckpt = self._checkpoint(tmp_path)
+        write_wav(tmp_path / "in.wav", WaveForm(np.zeros(400), 500))
+        nan_output = lambda model, wf: WaveForm(np.full(len(wf), np.nan), wf.sample_rate)
+        monkeypatch.setattr("dereverb.cli.enhance_waveform", nan_output)
+        rc = main(
+            ["enhance", "--ckpt", str(ckpt), "--in", str(tmp_path / "in.wav"),
+             "--out", str(tmp_path / "out.wav")]
+        )
+        assert rc == 2
+        assert not (tmp_path / "out.wav").exists()
+        assert "model.ckpt" in capsys.readouterr().err
+
+    def test_rtf_on_stderr_not_in_run_record(self, tmp_path, capsys):
+        ckpt = self._checkpoint(tmp_path)
+        write_wav(tmp_path / "in.wav", WaveForm(np.zeros(1000), 500))
+        argv = ["enhance", "--ckpt", str(ckpt), "--in", str(tmp_path / "in.wav"),
+                "--out", str(tmp_path / "out.wav")]
+        records = []
+        for _ in range(2):
+            assert main(argv) == 0
+            records.append((tmp_path / "out.wav.run.json").read_bytes())
+            (line,) = capsys.readouterr().err.strip().splitlines()
+            assert "s wall for 2.000 s of audio (RTF" in line
+        assert records[0] == records[1]
+        assert b"wall" not in records[0] and b"RTF" not in records[0]
+
+
 class TestEval:
     def test_identical_dirs(self, tmp_path, capsys):
         rng = np.random.default_rng(2)

@@ -11,12 +11,11 @@ from dereverb.signal import WaveForm
 
 FS = 4000
 FRAME = int(0.032 * FS)
-HOP = int(0.008 * FS)
 
 
-def tone_like(rng, n, lead_silence=0):
+def tone_like(rng, n, lead_silence=0, fs=FS):
     """Deterministic tonal signal with optional leading silence."""
-    t = np.arange(n) / FS
+    t = np.arange(n) / fs
     sig = 0.3 * np.sin(2 * np.pi * 220 * t) + 0.15 * np.sin(2 * np.pi * 440 * t + 1.0)
     sig += 0.05 * rng.standard_normal(n)
     if lead_silence:
@@ -29,15 +28,16 @@ def tone_like(rng, n, lead_silence=0):
 # ---------------------------------------------------------------------------
 
 
-def oracle_frames(ref, test):
+def oracle_frames(ref, test, fs=FS):
+    frame, hop = round(0.032 * fs), round(0.008 * fs)
     n = min(len(ref), len(test))
-    num = (n - FRAME) // HOP + 1
-    win = [0.5 - 0.5 * math.cos(2 * math.pi * k / FRAME) for k in range(FRAME)]
+    num = (n - frame) // hop + 1
+    win = [0.5 - 0.5 * math.cos(2 * math.pi * k / frame) for k in range(frame)]
     fr, ft = [], []
     energies = []
     for m in range(num):
-        a = [ref[m * HOP + k] * win[k] for k in range(FRAME)]
-        b = [test[m * HOP + k] * win[k] for k in range(FRAME)]
+        a = [ref[m * hop + k] * win[k] for k in range(frame)]
+        b = [test[m * hop + k] * win[k] for k in range(frame)]
         fr.append(a)
         ft.append(b)
         energies.append(sum(v * v for v in a))
@@ -50,9 +50,14 @@ def oracle_frames(ref, test):
 
 
 def oracle_lpc(frame, order=12):
+    """(predictor, regularized autocorrelation); predictor is None when the
+    frame is degenerate: r[0] <= 0, or the prediction error e <= 0 after any
+    Levinson-Durbin step."""
     n = len(frame)
     r = [sum(frame[t] * frame[t + k] for t in range(n - k)) for k in range(order + 1)]
     r[0] *= 1 + 1e-10
+    if r[0] <= 0:
+        return None, r
     a = [0.0] * order
     e = r[0]
     for i in range(order):
@@ -64,6 +69,8 @@ def oracle_lpc(frame, order=12):
             new[j] = a[j] - k * a[i - 1 - j]
         a = new
         e *= 1 - k * k
+        if e <= 0:
+            return None, r
     return a, r
 
 
@@ -78,40 +85,50 @@ def oracle_cepstrum(a):
     return c
 
 
-def oracle_cd(ref, test):
-    fr, ft = oracle_frames(ref, test)
+def oracle_cd(ref, test, fs=FS):
+    fr, ft = oracle_frames(ref, test, fs)
     vals = []
     for a, b in zip(fr, ft):
-        ca = oracle_cepstrum(oracle_lpc(a)[0])
-        cb = oracle_cepstrum(oracle_lpc(b)[0])
+        a_ref, a_test = oracle_lpc(a)[0], oracle_lpc(b)[0]
+        if a_ref is None or a_test is None:
+            continue
+        ca, cb = oracle_cepstrum(a_ref), oracle_cepstrum(a_test)
         d2 = sum((x - y) ** 2 for x, y in zip(ca, cb))
         vals.append((10 / math.log(10)) * math.sqrt(2 * d2))
     return sum(vals) / len(vals)
 
 
-def oracle_llr(ref, test):
-    fr, ft = oracle_frames(ref, test)
+def oracle_llr(ref, test, fs=FS):
+    """(value, skipped frames)."""
+    fr, ft = oracle_frames(ref, test, fs)
     vals = []
+    skipped = 0
     for a_frame, b_frame in zip(fr, ft):
         a_ref, r = oracle_lpc(a_frame)
         a_test, _ = oracle_lpc(b_frame)
+        if a_ref is None or a_test is None:
+            skipped += 1
+            continue
         va = [1.0] + [-x for x in a_ref]
         vb = [1.0] + [-x for x in a_test]
         num = sum(vb[i] * r[abs(i - j)] * vb[j] for i in range(13) for j in range(13))
         den = sum(va[i] * r[abs(i - j)] * va[j] for i in range(13) for j in range(13))
+        if num <= 0 or den <= 0:
+            skipped += 1
+            continue
         vals.append(max(0.0, math.log(num / den)))
     vals.sort()
     keep = max(1, round(len(vals) * 0.95))
-    return sum(vals[:keep]) / keep
+    return sum(vals[:keep]) / keep, skipped
 
 
-def oracle_fwsegsnr(ref, test):
-    fr, ft = oracle_frames(ref, test)
-    nfft = 1 << (FRAME - 1).bit_length()
-    freqs = [k * FS / nfft for k in range(nfft // 2 + 1)]
+def oracle_fwsegsnr(ref, test, fs=FS):
+    fr, ft = oracle_frames(ref, test, fs)
+    nfft = 1 << (len(fr[0]) - 1).bit_length()
+    freqs = [k * fs / nfft for k in range(nfft // 2 + 1)]
     mel = lambda f: 2595 * math.log10(1 + f / 700)
     imel = lambda m: 700 * (10 ** (m / 2595) - 1)
-    edges = [imel(mel(0) + (mel(FS / 2) - mel(0)) * i / 24) for i in range(25)]
+    edges = [imel(mel(0) + (mel(fs / 2) - mel(0)) * i / 24) for i in range(25)]
     vals = []
     for a, b in zip(fr, ft):
         sa = np.abs(np.fft.rfft(np.array(a), nfft)) ** 2
@@ -177,7 +194,7 @@ class TestLlr:
         ref = tone_like(rng, 2000)
         test = ref + 0.05 * rng.standard_normal(2000)
         got = llr(WaveForm(ref, FS), WaveForm(test, FS))
-        want = oracle_llr(ref, test)
+        want, _ = oracle_llr(ref, test)
         np.testing.assert_allclose(got, want, atol=1e-9)
 
     def test_skip_count_reported(self):
@@ -206,6 +223,60 @@ class TestFwsegsnr:
         got = fwsegsnr(WaveForm(ref, FS), WaveForm(test, FS))
         want = oracle_fwsegsnr(ref, test)
         np.testing.assert_allclose(got, want, atol=1e-9)
+
+
+class TestDegenerateFrames:
+    """Frames with r[0] <= 0 or a non-positive prediction error are dropped."""
+
+    @staticmethod
+    def _zeroed_and_dc_step(fs, n):
+        ref = tone_like(np.random.default_rng(141), n, fs=fs)
+        test = ref + 0.02 * np.random.default_rng(142).standard_normal(n)
+        test[n // 4 : n // 2] = 0.0
+        test[2 * n // 3 :] += 0.5
+        return ref, test
+
+    def test_cd_and_llr_match_scalar_oracle(self):
+        ref, test = self._zeroed_and_dc_step(FS, 3000)
+        want_llr, want_skipped = oracle_llr(ref, test)
+        got_llr, skipped = llr(WaveForm(ref, FS), WaveForm(test, FS), return_skipped=True)
+        assert skipped == want_skipped > 0
+        # the batched and the scalar analysis round differently (order of sums)
+        np.testing.assert_allclose(got_llr, want_llr, rtol=1e-9)
+        got_cd = cepstral_distance(WaveForm(ref, FS), WaveForm(test, FS))
+        np.testing.assert_allclose(got_cd, oracle_cd(ref, test), rtol=1e-9)
+
+    def test_all_zero_test_signal_rejected(self):
+        ref = tone_like(np.random.default_rng(143), 2000)
+        for metric in (cepstral_distance, llr):
+            with pytest.raises(ContractError):
+                metric(WaveForm(ref, FS), WaveForm(np.zeros(2000), FS))
+
+
+class TestOracle16k:
+    """512-sample frames at 16 kHz, zeroed stretch and DC step included."""
+
+    FS16 = 16000
+
+    def _pair(self):
+        return TestDegenerateFrames._zeroed_and_dc_step(self.FS16, 4000)
+
+    def test_cd(self):
+        ref, test = self._pair()
+        got = cepstral_distance(WaveForm(ref, self.FS16), WaveForm(test, self.FS16))
+        np.testing.assert_allclose(got, oracle_cd(ref, test, self.FS16), rtol=1e-9)
+
+    def test_llr(self):
+        ref, test = self._pair()
+        want, want_skipped = oracle_llr(ref, test, self.FS16)
+        got, skipped = llr(WaveForm(ref, self.FS16), WaveForm(test, self.FS16), return_skipped=True)
+        assert skipped == want_skipped > 0
+        np.testing.assert_allclose(got, want, rtol=1e-9)
+
+    def test_fwsegsnr(self):
+        ref, test = self._pair()
+        got = fwsegsnr(WaveForm(ref, self.FS16), WaveForm(test, self.FS16))
+        np.testing.assert_allclose(got, oracle_fwsegsnr(ref, test, self.FS16), atol=1e-9)
 
 
 class TestSharedInvariances:

@@ -300,3 +300,9 @@ class TestWavIO:
     def test_overrange_rejected(self, tmp_path):
         with pytest.raises(ContractError):
             write_wav(tmp_path / "x.wav", WaveForm(np.array([0.0, 1.5]), 8000))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, tmp_path, bad):
+        with pytest.raises(ContractError):
+            write_wav(tmp_path / "x.wav", WaveForm(np.array([0.0, bad]), 8000))
+        assert not (tmp_path / "x.wav").exists()
