@@ -249,10 +249,6 @@ def sub(a, b):
     )
 
 
-def neg(a):
-    return _emit("neg", -a.real, -a.imag, [(a, lambda gr, gi: (-gr, -gi))])
-
-
 def scale(a, c):
     """Multiply by a python scalar (real or complex)."""
     cr = a.real.dtype.type(np.real(c))
@@ -266,13 +262,6 @@ def scale(a, c):
         out_i = cr * a.imag + ci * a.real
         vjp = lambda gr, gi: (cr * gr + ci * gi, -ci * gr + cr * gi)
     return _emit("scale", out_r, out_i, [(a, vjp)])
-
-
-def shift(a, c):
-    """Add a python scalar constant (real or complex)."""
-    cr = a.real.dtype.type(np.real(c))
-    ci = a.real.dtype.type(np.imag(c))
-    return _emit("shift", a.real + cr, a.imag + ci, [(a, lambda gr, gi: (gr, gi))])
 
 
 def cmul(a, b):
@@ -295,31 +284,6 @@ def cmul(a, b):
         )
 
     return _emit("cmul", out_r, out_i, [(a, vjp_a), (b, vjp_b)])
-
-
-def mul_split(a, b):
-    """Per-part elementwise product: (a_r*b_r, a_i*b_i), with broadcasting.
-
-    Treats the two parts as unrelated real arrays (GRU gating, packed-pair
-    arithmetic), unlike ``cmul`` which is the true complex product.
-    """
-    a, b = _as_tensor(a), _as_tensor(b)
-    out_r = a.real * b.real
-    out_i = a.imag * b.imag
-
-    def vjp_a(gr, gi):
-        return (
-            _unbroadcast(gr * b.real, a.shape),
-            _unbroadcast(gi * b.imag, a.shape),
-        )
-
-    def vjp_b(gr, gi):
-        return (
-            _unbroadcast(gr * a.real, b.shape),
-            _unbroadcast(gi * a.imag, b.shape),
-        )
-
-    return _emit("mul_split", out_r, out_i, [(a, vjp_a), (b, vjp_b)])
 
 
 def conj(a):
@@ -375,10 +339,14 @@ def pow_re(a, p):
         factor = p * np.power(a.real, p - 1.0)
         vjp = lambda gr, gi: (gr * factor, np.zeros_like(gr))
     else:
-        base = np.maximum(a.real, GRAD_EPS)
-        factor = np.where(a.real == 0.0, 0.0, p * np.power(base, p - 1.0))
+        factor = _pow_grad(a.real, p)
         vjp = lambda gr, gi: (gr * factor, np.zeros_like(gr))
     return _emit("pow_re", out, np.zeros_like(out), [(a, vjp)])
+
+
+def _pow_grad(a, p):
+    """d(a^p)/da for p < 1: 0 at a == 0, the denominator floored at GRAD_EPS."""
+    return np.where(a == 0.0, 0.0, p * np.power(np.maximum(a, GRAD_EPS), p - 1.0))
 
 
 def compress_mag(a, c):
@@ -598,66 +566,9 @@ def index_axis(a, axis, i):
     )
 
 
-def real_part(a):
-    """Real part as a real-valued tensor (imag output is zero)."""
-    return _emit(
-        "real_part",
-        a.real,
-        np.zeros_like(a.real),
-        [(a, lambda gr, gi: (gr, np.zeros_like(gr)))],
-    )
-
-
-def imag_part(a):
-    """Imaginary part as a real-valued tensor (imag output is zero)."""
-    return _emit(
-        "imag_part",
-        a.imag,
-        np.zeros_like(a.imag),
-        [(a, lambda gr, gi: (np.zeros_like(gr), gr))],
-    )
-
-
-def make_complex(re, im):
-    """Assemble a complex tensor from two real-valued tensors."""
-    if re.shape != im.shape:
-        raise ShapeError(f"part shapes differ: {re.shape} vs {im.shape}")
-    return _emit(
-        "make_complex",
-        re.real,
-        im.real,
-        [
-            (re, lambda gr, gi: (gr, np.zeros_like(gr))),
-            (im, lambda gr, gi: (gi, np.zeros_like(gi))),
-        ],
-    )
-
-
 # ---------------------------------------------------------------------------
 # reductions
 # ---------------------------------------------------------------------------
-
-
-def mean_axes(a, axes, keepdims=False):
-    axes = tuple(axes)
-    out_r = a.real.mean(axis=axes, keepdims=keepdims)
-    out_i = a.imag.mean(axis=axes, keepdims=keepdims)
-    n = 1
-    for ax in axes:
-        n *= a.shape[ax]
-    shape = a.shape
-    inv_n = 1.0 / n
-
-    def vjp(gr, gi):
-        if not keepdims:
-            gr = np.expand_dims(gr, axes)
-            gi = np.expand_dims(gi, axes)
-        return (
-            np.broadcast_to(gr * inv_n, shape).copy(),
-            np.broadcast_to(gi * inv_n, shape).copy(),
-        )
-
-    return _emit("mean_axes", out_r, out_i, [(a, vjp)])
 
 
 def sum_all(a):

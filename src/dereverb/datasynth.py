@@ -121,16 +121,20 @@ def synth_speech_like(duration_s, sample_rate, rng) -> WaveForm:
 
     Voiced segments carry a vibrato-modulated fundamental (100-250 Hz) with
     1/k harmonics under a raised-cosine syllable envelope; roughly one
-    segment in five is silent.  Peak-normalized to 0.5.
+    segment in five is silent, but the last is voiced when all before it
+    were silent, so no clip is all zeros.  Peak-normalized to 0.5.
     """
     n = int(round(duration_s * sample_rate))
     out = np.zeros(n)
     seg_len = int(round(0.25 * sample_rate))
     t_seg = np.arange(seg_len) / sample_rate
     pos = 0
+    voiced = False
     while pos < n:
         cur = min(seg_len, n - pos)
-        if rng.uniform() < 0.8:
+        # the draw is taken either way, so only all-silent clips change
+        if rng.uniform() < 0.8 or (not voiced and pos + cur == n):
+            voiced = True
             f0 = rng.uniform(100.0, 250.0)
             vib_rate = rng.uniform(3.0, 6.0)
             vib_depth = rng.uniform(0.01, 0.04)

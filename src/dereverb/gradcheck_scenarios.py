@@ -64,6 +64,26 @@ def batchnorm_scenario(rng):
     return loss, [x, bn.gamma_d, bn.gamma_o, bn.beta]
 
 
+def _moved_batchnorm_scenario(training, batch):
+    """Batchnorm on a [B, T, F, C] batch with the scale, shift and running
+    stats moved off their initial values."""
+
+    def factory(rng):
+        bn = ComplexBatchNorm(3)
+        for p in (bn.gamma_d, bn.gamma_o, bn.beta):
+            p.real[:], p.imag[:] = _tame(rng, 3), _tame(rng, 3)
+        for _ in range(2):
+            bn(_tensor(rng, batch, 3, 2, 3), training=True)
+        x = _tensor(rng, batch, 3, 2, 3)
+
+        def loss():
+            return ct.sum_abs2(ct.crelu(bn(x, training=training)))
+
+        return loss, [x, bn.gamma_d, bn.gamma_o, bn.beta]
+
+    return factory
+
+
 def gru_scenario(rng):
     cell = ComplexGruCell(2, 3, rng=rng)
     x = _tensor(rng, 2, 3, 2)
@@ -109,4 +129,6 @@ SCENARIOS = [
     ("attention: complex", _attention_scenario("complex")),
     ("compressed complex loss", compressed_loss_scenario),
     ("attention: complex, rank 4 (B=2)", _attention_scenario("complex", batch=2)),
+    ("complex_batchnorm (eval)", _moved_batchnorm_scenario(False, batch=2)),
+    ("complex_batchnorm (train, B=3)", _moved_batchnorm_scenario(True, batch=3)),
 ]

@@ -12,11 +12,12 @@ Layout conventions:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import ctensor as ct
-from .ctensor import ComplexTensor, _cmm, _cmm_vjp_a, _cmm_vjp_b, _emit
+from .ctensor import ComplexTensor, _cmm, _cmm_vjp_a, _cmm_vjp_b, _emit, _pow_grad
 from .errors import ContractError, ShapeError
 
 
@@ -286,12 +287,32 @@ class ComplexConvTranspose2d:
 
 
 # ---------------------------------------------------------------------------
-# complex batch normalization
+# fused tape nodes
 # ---------------------------------------------------------------------------
 
 
-def _swap_parts(x):
-    return ct.make_complex(ct.imag_part(x), ct.real_part(x))
+def _shared_vjps(grads, count):
+    """Vjps for the ``count`` inputs of a fused node whose ``grads(gr, gi)``
+    returns all their gradients at once.  GradTape.backward calls every
+    input's vjp with the same output gradient: the first call runs ``grads``
+    once, and each takes its own entry."""
+    memo = []
+
+    def vjp(k):
+        def take(gr, gi):
+            if not memo:
+                memo.append(grads(gr, gi))
+            grad, memo[0][k] = memo[0][k], None
+            return grad
+
+        return take
+
+    return [vjp(k) for k in range(count)]
+
+
+# ---------------------------------------------------------------------------
+# complex batch normalization
+# ---------------------------------------------------------------------------
 
 
 # running-stat rows of ComplexBatchNorm and their initial values: unit
@@ -332,58 +353,84 @@ class ComplexBatchNorm:
         return [(name, row) for (name, _), row in zip(_RUNNING_STATS, self._running)]
 
     def __call__(self, x, training):
+        """Whiten ``x`` per channel and apply the learned scale and shift, as
+        one tape node with a hand-written vjp.
+
+        Forward and vjp evaluate every product and sum of the whitening
+        written as generic tape ops (statistics, the analytic inverse square
+        root of [[a, b], [b, c]] + eps*I, the 2x2 products) in that chain's
+        order, so outputs and gradients equal it bit for bit.  Only the exact
+        zeros that chain's part splits added are left out, which can flip the
+        sign of an input gradient entry that is zero.
+        """
         if x.ndim < 2:
             raise ShapeError(f"batchnorm input must have rank >= 2, got {x.shape}")
         axes = tuple(range(x.ndim - 1))
-        n = 1
-        for ax in axes:
-            n *= x.shape[ax]
+        n = math.prod(x.shape[:-1])
 
         if training:
             if n < 2:
                 raise ContractError(
                     f"batchnorm needs >= 2 samples per channel in training mode, got {n}"
                 )
-            mu = ct.mean_axes(x, axes)
-            xc = ct.sub(x, mu)
-            vd = ct.mean_axes(ct.mul_split(xc, xc), axes)  # (E r^2, E i^2)
-            vcross = ct.mean_axes(ct.mul_split(xc, _swap_parts(xc)), axes)
-            vrr = ct.real_part(vd)
-            vii = ct.imag_part(vd)
-            vri = ct.real_part(vcross)
+            mu = x.real.mean(axis=axes), x.imag.mean(axis=axes)
+            xr, xi = x.real - mu[0], x.imag - mu[1]
+            vrr, vii, vri = ((u * v).mean(axis=axes) for u, v in ((xr, xr), (xi, xi), (xr, xi)))
             self._running *= 1 - self.momentum
-            self._running += self.momentum * np.stack(
-                [mu.real, mu.imag, vrr.real, vri.real, vii.real]
-            )
+            self._running += self.momentum * np.stack([mu[0], mu[1], vrr, vri, vii])
         else:
-            mean_r, mean_i, run_rr, run_ri, run_ii = self._running
-            mu = ComplexTensor(mean_r, mean_i)
-            xc = ct.sub(x, mu)
-            vrr = ComplexTensor(run_rr)
-            vii = ComplexTensor(run_ii)
-            vri = ComplexTensor(run_ri)
+            mean_r, mean_i, vrr, vri, vii = self._running
+            xr, xi = x.real - mean_r, x.imag - mean_i
 
         # analytic inverse square root of [[a, b], [b, c]] + eps*I
-        a = ct.shift(vrr, self.eps)
-        c = ct.shift(vii, self.eps)
-        b = vri
-        delta = ct.sub(ct.mul_split(a, c), ct.mul_split(b, b))
-        s = ct.pow_re(delta, 0.5)
-        t = ct.pow_re(ct.add(ct.add(a, c), ct.scale(s, 2.0)), 0.5)
-        inv = ct.pow_re(ct.mul_split(s, t), -1.0)
-        w_rr = ct.mul_split(ct.add(c, s), inv)
-        w_ii = ct.mul_split(ct.add(a, s), inv)
-        w_ri = ct.mul_split(ct.neg(b), inv)
+        eps = vrr.dtype.type(self.eps)
+        a, c, b = vrr + eps, vii + eps, vri
+        delta = a * c - b * b
+        s = np.power(delta, 0.5)
+        q = (a + c) + 2 * s
+        t = np.power(q, 0.5)
+        st = s * t
+        inv = np.power(st, -1.0)
+        c_s, a_s, neg_b = c + s, a + s, -b
+        w_rr, w_ii, w_ri = c_s * inv, a_s * inv, neg_b * inv
+        white_r, white_i = w_rr * xr + w_ri * xi, w_ii * xi + w_ri * xr
 
-        wd = ct.make_complex(w_rr, w_ii)
-        wo = ct.make_complex(w_ri, w_ri)
-        white = ct.add(ct.mul_split(wd, xc), ct.mul_split(wo, _swap_parts(xc)))
+        gd, go, beta = self.gamma_d, self.gamma_o, self.beta
+        out_r = (gd.real * white_r + go.real * white_i) + beta.real
+        out_i = (gd.imag * white_i + go.imag * white_r) + beta.imag
 
-        scaled = ct.add(
-            ct.mul_split(self.gamma_d, white),
-            ct.mul_split(self.gamma_o, _swap_parts(white)),
-        )
-        return ct.add(scaled, self.beta)
+        def grads(gr, gi):
+            """Gradients of x, gamma_d, gamma_o and beta: each input's terms
+            added in the order the chain's tape walk adds them.  ``d_<v>`` is
+            the gradient of forward value ``v``; dwr, dwi that of white."""
+            total = lambda v: v.sum(axis=axes)
+            g_gd = total(gr * white_r), total(gi * white_i)
+            g_go = total(gr * white_i), total(gi * white_r)
+            g_beta = total(gr), total(gi)
+            dwr, dwi = gi * go.imag + gr * gd.real, gr * go.real + gi * gd.imag
+            dxr, dxi = dwi * w_ri + dwr * w_rr, dwr * w_ri + dwi * w_ii
+            if training:
+                d_rr, d_ii = total(dwr * xr), total(dwi * xi)
+                d_ri = total(dwr * xi) + total(dwi * xr)
+                d_inv = (d_ri * neg_b + d_ii * a_s) + d_rr * c_s
+                d_st = d_inv * _pow_grad(st, -1.0)
+                d_q = d_st * s * _pow_grad(q, 0.5)
+                d_a_s, d_c_s = d_ii * inv, d_rr * inv
+                d_delta = (((d_a_s + d_c_s) + d_st * t) + 2 * d_q) * _pow_grad(delta, 0.5)
+                # the mean's gradient rows for a, c and b, spread over the samples
+                d_a = ((d_a_s + d_q) + d_delta * c) * (1.0 / n)
+                d_c = ((d_c_s + d_q) + d_delta * a) * (1.0 / n)
+                d_b = ((-(d_ri * inv) + -d_delta * b) + -d_delta * b) * (1.0 / n)
+                for dx, own, cross, d_own in ((dxr, xr, xi, d_a), (dxi, xi, xr, d_c)):
+                    dx += d_b * cross
+                    term = d_own * own  # the variance's square adds it twice
+                    dx += term
+                    dx += term
+                    dx += -total(dx) * (1.0 / n)  # through the mean
+            return [(dxr, dxi), g_gd, g_go, g_beta]
+
+        srcs = list(zip((x, gd, go, beta), _shared_vjps(grads, 4)))
+        return _emit("batchnorm", out_r, out_i, srcs)
 
 
 # ---------------------------------------------------------------------------
@@ -502,19 +549,6 @@ class ComplexGruCell:
             dw = [_cmm_vjp_b(xs, [g.reshape(batch * steps, n) for g in dpx[k]]) for k in range(3)]
             return [[g.reshape(x_seq.shape) for g in dx]] + dw + du + db
 
-        memo = []
-
-        def vjp(k):
-            # GradTape.backward calls every input's vjp with the same output
-            # gradient: the first call runs BPTT once, each takes its own entry
-            def take(gr, gi):
-                if not memo:
-                    memo.append(bptt(gr, gi))
-                grad, memo[0][k] = memo[0][k], None
-                return grad
-
-            return take
-
-        srcs = [(x_seq, vjp(0))] + [(p, vjp(k)) for k, (_, p) in enumerate(self.parameters(), 1)]
+        srcs = list(zip([x_seq] + [p for _, p in self.parameters()], _shared_vjps(bptt, 10)))
         out = [np.stack([o[k] for o in outs], axis=1) for k in range(2)]
         return _emit("gru_run", out[0], out[1], srcs)

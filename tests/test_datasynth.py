@@ -112,6 +112,14 @@ class TestSpeechLike:
         rms = np.sqrt(np.mean(seg**2, axis=1))
         assert (rms < 1e-6).any() or rms.min() < 0.1 * rms.max()
 
+    def test_never_all_silent(self):
+        # every segment of this pair's clean clip draws silent: the last one
+        # is voiced instead, so the pair (and its eval) has a reference
+        clean, reverb, _ = make_pair(1927232553, SynthConfig(duration_s=1.0))
+        assert np.max(np.abs(clean.samples)) > 0.01
+        assert np.max(np.abs(clean.samples[:3000])) == 0.0
+        assert np.max(np.abs(reverb.samples)) > 0.1
+
     def test_deterministic(self):
         a = synth_speech_like(1.0, 4000, np.random.default_rng(5))
         b = synth_speech_like(1.0, 4000, np.random.default_rng(5))

@@ -1,5 +1,8 @@
 """Complex layers: convolution, batchnorm, GRU, unitary init."""
 
+import copy
+import math
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,61 @@ def rand_ct(rng, *shape, away_from_zero=False):
         r = np.sign(r) * (0.2 + np.abs(r))
         i = np.sign(i) * (0.2 + np.abs(i))
     return ComplexTensor(r, i)
+
+
+# tape ops that only the reference chains below use, one node each as they
+# were in dereverb.ctensor
+
+
+def neg(a):
+    return ct._emit("neg", -a.real, -a.imag, [(a, lambda gr, gi: (-gr, -gi))])
+
+
+def mul_split(a, b):
+    """Per-part elementwise product: (a_r*b_r, a_i*b_i), with broadcasting."""
+    a, b = ct._as_tensor(a), ct._as_tensor(b)
+
+    def vjp_a(gr, gi):
+        return ct._unbroadcast(gr * b.real, a.shape), ct._unbroadcast(gi * b.imag, a.shape)
+
+    def vjp_b(gr, gi):
+        return ct._unbroadcast(gr * a.real, b.shape), ct._unbroadcast(gi * a.imag, b.shape)
+
+    return ct._emit("mul_split", a.real * b.real, a.imag * b.imag, [(a, vjp_a), (b, vjp_b)])
+
+
+def mean_axes(a, axes):
+    shape, inv_n = a.shape, 1.0 / math.prod(a.shape[ax] for ax in axes)
+
+    def vjp(gr, gi):
+        gr, gi = np.expand_dims(gr, axes), np.expand_dims(gi, axes)
+        return (
+            np.broadcast_to(gr * inv_n, shape).copy(),
+            np.broadcast_to(gi * inv_n, shape).copy(),
+        )
+
+    return ct._emit("mean_axes", a.real.mean(axis=axes), a.imag.mean(axis=axes), [(a, vjp)])
+
+
+def real_part(a):
+    zero = lambda gr, gi: (gr, np.zeros_like(gr))
+    return ct._emit("real_part", a.real, np.zeros_like(a.real), [(a, zero)])
+
+
+def imag_part(a):
+    swap = lambda gr, gi: (np.zeros_like(gr), gr)
+    return ct._emit("imag_part", a.imag, np.zeros_like(a.imag), [(a, swap)])
+
+
+def make_complex(re, im):
+    zero_r = lambda gr, gi: (gr, np.zeros_like(gr))
+    zero_i = lambda gr, gi: (gi, np.zeros_like(gi))
+    return ct._emit("make_complex", re.real, im.real, [(re, zero_r), (im, zero_i)])
+
+
+def shift(a, c):
+    cr, ci = a.dtype.type(np.real(c)), a.dtype.type(np.imag(c))
+    return ct._emit("shift", a.real + cr, a.imag + ci, [(a, lambda gr, gi: (gr, gi))])
 
 
 def naive_complex_conv(x, w, stride, padding):
@@ -229,8 +287,8 @@ def inner(a, b):
 
 def inner_loss(y, probe):
     """<y, probe> as a real scalar tensor: its gradient wrt y is ``probe``."""
-    s = ct.sum_all(ct.mul_split(y, probe))
-    return ct.add(ct.real_part(s), ct.imag_part(s))
+    s = ct.sum_all(mul_split(y, probe))
+    return ct.add(real_part(s), imag_part(s))
 
 
 class TestConvGeometry:
@@ -319,6 +377,68 @@ class TestConvGeometry:
             analytic = analytic_gradients(build, [w])
             numeric = finite_difference_gradients(lambda: float(build().real), [w])
             assert max_relative_error(analytic, numeric) < 1e-7
+
+
+def _swap_parts(x):
+    return make_complex(imag_part(x), real_part(x))
+
+
+def taped_batchnorm(self, x, training):
+    """Reference batchnorm: ``ComplexBatchNorm.__call__`` as a chain of generic
+    tape ops, 45 nodes per training-mode call.  Updates ``self``'s running
+    stats as the layer does."""
+    if x.ndim < 2:
+        raise ShapeError(f"batchnorm input must have rank >= 2, got {x.shape}")
+    axes = tuple(range(x.ndim - 1))
+    n = 1
+    for ax in axes:
+        n *= x.shape[ax]
+
+    if training:
+        if n < 2:
+            raise ContractError(
+                f"batchnorm needs >= 2 samples per channel in training mode, got {n}"
+            )
+        mu = mean_axes(x, axes)
+        xc = ct.sub(x, mu)
+        vd = mean_axes(mul_split(xc, xc), axes)  # (E r^2, E i^2)
+        vcross = mean_axes(mul_split(xc, _swap_parts(xc)), axes)
+        vrr = real_part(vd)
+        vii = imag_part(vd)
+        vri = real_part(vcross)
+        self._running *= 1 - self.momentum
+        self._running += self.momentum * np.stack(
+            [mu.real, mu.imag, vrr.real, vri.real, vii.real]
+        )
+    else:
+        mean_r, mean_i, run_rr, run_ri, run_ii = self._running
+        mu = ComplexTensor(mean_r, mean_i)
+        xc = ct.sub(x, mu)
+        vrr = ComplexTensor(run_rr)
+        vii = ComplexTensor(run_ii)
+        vri = ComplexTensor(run_ri)
+
+    # analytic inverse square root of [[a, b], [b, c]] + eps*I
+    a = shift(vrr, self.eps)
+    c = shift(vii, self.eps)
+    b = vri
+    delta = ct.sub(mul_split(a, c), mul_split(b, b))
+    s = ct.pow_re(delta, 0.5)
+    t = ct.pow_re(ct.add(ct.add(a, c), ct.scale(s, 2.0)), 0.5)
+    inv = ct.pow_re(mul_split(s, t), -1.0)
+    w_rr = mul_split(ct.add(c, s), inv)
+    w_ii = mul_split(ct.add(a, s), inv)
+    w_ri = mul_split(neg(b), inv)
+
+    wd = make_complex(w_rr, w_ii)
+    wo = make_complex(w_ri, w_ri)
+    white = ct.add(mul_split(wd, xc), mul_split(wo, _swap_parts(xc)))
+
+    scaled = ct.add(
+        mul_split(self.gamma_d, white),
+        mul_split(self.gamma_o, _swap_parts(white)),
+    )
+    return ct.add(scaled, self.beta)
 
 
 class TestComplexBatchNorm:
@@ -410,6 +530,81 @@ class TestComplexBatchNorm:
         numeric = finite_difference_gradients(lambda: float(build().real), params)
         assert max_relative_error(analytic, numeric) < 1e-4
 
+    # the desk model's batchnorm inputs (B=4, 64 frames): the eight blocks'
+    # five distinct shapes
+    DESK_SHAPES = [(4, 64, 33, 2), (4, 64, 17, 4), (4, 64, 9, 8), (4, 64, 5, 16), (4, 64, 65, 2)]
+
+    @staticmethod
+    def _oracle_case(seed, shape, dtype, training, flat_spread=None):
+        """A layer with moved parameters (and, for eval, moved running stats),
+        its copy for the oracle, an input shaped like a conv output (both parts
+        strided views of one [.., 2C] buffer) and a probe for the loss."""
+        rng = np.random.default_rng(seed)
+        c = shape[-1]
+        bn = ly.ComplexBatchNorm(c, dtype=dtype)
+        for p in (bn.gamma_d, bn.gamma_o, bn.beta):
+            p.real += (0.3 * rng.standard_normal(c)).astype(dtype)
+            p.imag += (0.3 * rng.standard_normal(c)).astype(dtype)
+        if not training:
+            for _ in range(3):
+                bn(rand_typed(rng, shape, dtype), training=True)
+        buf = (2.0 * rng.standard_normal(shape[:-1] + (2 * c,)) + 0.5).astype(dtype)
+        if flat_spread is not None:
+            buf[..., 0] = 1.5 + flat_spread * rng.standard_normal(shape[:-1])
+            buf[..., c] = -0.25 + flat_spread * rng.standard_normal(shape[:-1])
+        x = ComplexTensor(buf[..., :c], buf[..., c:])
+        probe = rand_typed(rng, shape, dtype)
+        return bn, copy.deepcopy(bn), x, probe
+
+    def _assert_bit_identical(self, shape, dtype, training, flat_spread=None):
+        bn, ref, x, probe = self._oracle_case(60, shape, dtype, training, flat_spread)
+        params = [x, bn.gamma_d, bn.gamma_o, bn.beta]
+        ref_params = [x, ref.gamma_d, ref.gamma_o, ref.beta]
+        outs, grads = [], []
+        for call, ps in ((bn, params), (lambda t, m: taped_batchnorm(ref, t, m), ref_params)):
+            outs.append(call(x, training))
+            # crelu's mask gives the output gradient exact zeros of both signs
+            loss = lambda: ct.sum_all(real_part(ct.cmul(ct.crelu(call(x, training)), probe)))
+            grads.append(analytic_gradients(loss, ps))
+        assert outs[0].dtype == outs[1].dtype == dtype
+        np.testing.assert_array_equal(outs[0].real, outs[1].real)
+        np.testing.assert_array_equal(outs[0].imag, outs[1].imag)
+        np.testing.assert_array_equal(bn._running, ref._running)
+        for (gr, gi), (wr, wi) in zip(*grads):
+            assert gr.dtype == wr.dtype == dtype
+            np.testing.assert_array_equal(gr, wr)
+            np.testing.assert_array_equal(gi, wi)
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", DESK_SHAPES)
+    def test_bit_identical_to_taped_chain(self, shape, dtype, training):
+        # the fused node forms every product and sum of the chain in its
+        # order: outputs, running stats and all four gradients round alike
+        self._assert_bit_identical(shape, dtype, training)
+
+    @pytest.mark.parametrize("spread", [0.0, 1e-6])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bit_identical_on_constant_channel(self, dtype, spread):
+        # a channel whose variance is far below eps leaves delta about
+        # eps^2 = 1e-10, under the GRAD_EPS floor of d sqrt(delta); a small
+        # spread keeps a gradient flowing through the floored factor
+        self._assert_bit_identical((2, 5, 4, 3), dtype, True, flat_spread=spread)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_bit_identical_rank3(self, training):
+        self._assert_bit_identical((7, 6, 3), np.float64, training)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_call_is_one_tape_node(self, training):
+        bn, _, x, _ = self._oracle_case(62, (2, 3, 4, 2), np.float64, training)
+        tape = ct.GradTape()
+        for t in (x, bn.gamma_d, bn.gamma_o, bn.beta):
+            tape.watch(t)
+        before = len(tape)
+        out = bn(x, training)
+        assert len(tape) == before + 1 and tape.nodes[out.node_id].op == "batchnorm"
+
 
 def taped_gru_run(cell, x_seq):
     """Reference recurrence: the GRU as a chain of per-step tape ops.
@@ -442,11 +637,11 @@ def taped_gru_run(cell, x_seq):
         )
         cand = ct.tanh_split(
             ct.add(
-                ct.add(ct.index_axis(px["h"], 1, t), ct.matmul(ct.mul_split(r, h), cell.u_h)),
+                ct.add(ct.index_axis(px["h"], 1, t), ct.matmul(mul_split(r, h), cell.u_h)),
                 cell.b_h,
             )
         )
-        h = ct.add(ct.mul_split(ct.shift(ct.neg(z), 1 + 1j), h), ct.mul_split(z, cand))
+        h = ct.add(mul_split(shift(neg(z), 1 + 1j), h), mul_split(z, cand))
         outs.append(h)
     return ct.stack(outs, axis=1)
 
@@ -566,7 +761,7 @@ class TestComplexGru:
         params = [p for name, p in named if taped == "all" or name.startswith("u_")]
 
         def loss(run):
-            return lambda: ct.sum_all(ct.real_part(ct.cmul(run(x), w)))
+            return lambda: ct.sum_all(real_part(ct.cmul(run(x), w)))
 
         got = analytic_gradients(loss(cell.run), params)
         want = analytic_gradients(loss(lambda s: taped_gru_run(cell, s)), params)
@@ -588,7 +783,7 @@ class TestComplexGru:
         for run in (cell.run, lambda s: taped_gru_run(cell, s)):
             outs.append(run(x))
             grads.append(
-                analytic_gradients(lambda: ct.sum_all(ct.real_part(ct.cmul(run(x), w))), params)
+                analytic_gradients(lambda: ct.sum_all(real_part(ct.cmul(run(x), w))), params)
             )
         assert outs[0].dtype == outs[1].dtype == dtype
         np.testing.assert_array_equal(outs[0].real, outs[1].real)
