@@ -1,7 +1,7 @@
 """Time-frequency self-attention mechanisms, interchangeable behind one block.
 
-Three mechanisms operate on a [T, F, C] complex feature map along a chosen
-axis ("time" or "frequency"):
+Three mechanisms operate on a [B, T, F, C] batch of complex feature maps (or
+on one [T, F, C] map) along a chosen axis ("time" or "frequency"):
 
   * Sdab           -- fixed-size fully-connected reweighting per part; the
                       learned weights are not softmax-normalized.
@@ -30,36 +30,47 @@ from .layers import orthogonal_pair_init, unitary_init
 AXES = ("time", "frequency")
 
 
-def _check_axis(axis):
+def _check_input(x, axis):
     if axis not in AXES:
         raise ConfigError(f"axis must be one of {AXES}, got {axis!r}")
+    if x.ndim not in (3, 4):
+        raise ShapeError(f"attention input must be rank 3 or 4, got {x.shape}")
 
 
 def _to_rows(x, axis):
-    """[T, F, C] -> (rows [L, D], undo) where L is the chosen axis."""
-    t, f, c = x.shape
+    """[B, T, F, C] -> (rows [B, L, D], undo) where L is the chosen axis.
+
+    One [T, F, C] map gives rows [1, L, D], and ``undo`` gives it back its rank.
+    """
+    b = x.shape[0] if x.ndim == 4 else 1
+    t, f, c = x.shape[-3:]
     if axis == "time":
-        rows = ct.reshape(x, (t, f * c))
-        undo = lambda m: ct.reshape(m, (t, f, c))
+        rows = ct.reshape(x, (b, t, f * c))
+        undo = lambda m: ct.reshape(m, x.shape)
     else:
-        perm = ct.permute(x, (1, 0, 2))
-        rows = ct.reshape(perm, (f, t * c))
-        undo = lambda m: ct.permute(ct.reshape(m, (f, t, c)), (1, 0, 2))
+        swap = (0, 2, 1, 3) if x.ndim == 4 else (1, 0, 2)
+        perm = ct.permute(x, swap)
+        rows = ct.reshape(perm, (b, f, t * c))
+        undo = lambda m: ct.permute(ct.reshape(m, perm.shape), swap)
     return rows, undo
 
 
-class ConventionalSA:
-    """Softmax attention applied to real and imaginary parts independently."""
+class _ProjectedSA:
+    """Attention over Q/K/V projections of the channels, one set per axis.
+
+    Subclasses set ``_init``, the weight init; ``_product``, the op that
+    applies the projections and the attention map; and ``_weights``, which
+    forms the map from the Q and K rows and fills ``collect``.
+    """
 
     def __init__(self, channels_cc, *, rng, dtype=np.float64):
         self.channels_cc = int(channels_cc)
-        self.proj = {}
-        for axis in AXES:
-            for name in ("q", "k", "v"):
-                wr, wi = orthogonal_pair_init(
-                    (self.channels_cc, self.channels_cc), rng, dtype=dtype
-                )
-                self.proj[(axis, name)] = ComplexTensor(wr, wi)
+        shape = (self.channels_cc, self.channels_cc)
+        self.proj = {
+            (axis, name): ComplexTensor(*self._init(shape, rng, dtype=dtype))
+            for axis in AXES
+            for name in ("q", "k", "v")
+        }
 
     def parameters(self):
         return [
@@ -69,65 +80,57 @@ class ConventionalSA:
         ]
 
     def _project(self, x, axis, name):
-        t, f, c = x.shape
-        flat = ct.reshape(x, (t * f, c))
-        out = ct.matmul_split(flat, self.proj[(axis, name)])
-        return ct.reshape(out, (t, f, c))
+        flat = ct.reshape(x, x.shape[:-3] + (-1, self.channels_cc))
+        return ct.reshape(self._product(flat, self.proj[(axis, name)]), x.shape)
 
     def branch(self, x, axis, collect=None):
-        _check_axis(axis)
+        """Attention along ``axis`` of a [T, F, C] map or a [B, T, F, C] batch.
+
+        ``collect`` receives the attention maps, [L, L] for one map and
+        [B, L, L] for a batch.
+        """
+        _check_input(x, axis)
         q, _ = _to_rows(self._project(x, axis, "q"), axis)
         k, _ = _to_rows(self._project(x, axis, "k"), axis)
         v, undo = _to_rows(self._project(x, axis, "v"), axis)
-        corr = ct.matmul_split(q, ct.transpose(k))
-        w = ct.softmax_rows_split(corr)
-        if collect is not None:
-            collect["weights_real"] = w.real.copy()
-            collect["weights_imag"] = w.imag.copy()
-        return undo(ct.matmul_split(w, v))
+        maps = None if collect is None else {}
+        w = self._weights(q, k, maps)
+        if maps:
+            collect.update((key, m if x.ndim == 4 else m[0]) for key, m in maps.items())
+        return undo(self._product(w, v))
 
     __call__ = branch
 
 
-class ComplexTFSA:
+class ConventionalSA(_ProjectedSA):
+    """Softmax attention applied to real and imaginary parts independently."""
+
+    _init = staticmethod(orthogonal_pair_init)
+    _product = staticmethod(ct.matmul_split)
+
+    @staticmethod
+    def _weights(q, k, collect):
+        w = ct.softmax_rows_split(ct.matmul_split(q, ct.transpose(k)))
+        if collect is not None:
+            collect["weights_real"] = w.real.copy()
+            collect["weights_imag"] = w.imag.copy()
+        return w
+
+
+class ComplexTFSA(_ProjectedSA):
     """Fully complex attention: one attention map from |Q K^H| for both parts."""
 
-    def __init__(self, channels_cc, *, rng, dtype=np.float64):
-        self.channels_cc = int(channels_cc)
-        self.proj = {}
-        for axis in AXES:
-            for name in ("q", "k", "v"):
-                wr, wi = unitary_init(
-                    (self.channels_cc, self.channels_cc), rng, dtype=dtype
-                )
-                self.proj[(axis, name)] = ComplexTensor(wr, wi)
+    _init = staticmethod(unitary_init)
+    _product = staticmethod(ct.matmul)
 
-    def parameters(self):
-        return [
-            (f"{axis[0]}.w{name}", self.proj[(axis, name)])
-            for axis in AXES
-            for name in ("q", "k", "v")
-        ]
-
-    def _project(self, x, axis, name):
-        t, f, c = x.shape
-        flat = ct.reshape(x, (t * f, c))
-        out = ct.matmul(flat, self.proj[(axis, name)])
-        return ct.reshape(out, (t, f, c))
-
-    def branch(self, x, axis, collect=None):
-        _check_axis(axis)
-        q, _ = _to_rows(self._project(x, axis, "q"), axis)
-        k, _ = _to_rows(self._project(x, axis, "k"), axis)
-        v, undo = _to_rows(self._project(x, axis, "v"), axis)
+    @staticmethod
+    def _weights(q, k, collect):
         corr = ct.matmul(q, ct.hermitian_transpose(k))
         w = ct.softmax_rows(ct.magnitude(corr))
         if collect is not None:
             collect["corr"] = corr.to_complex()
             collect["weights"] = w.real.copy()
-        return undo(ct.matmul(w, v))
-
-    __call__ = branch
+        return w
 
 
 class Sdab:
@@ -157,8 +160,9 @@ class Sdab:
         return out
 
     def branch(self, x, axis, collect=None):
-        _check_axis(axis)
-        t, f, _ = x.shape
+        """Reweighting along ``axis`` of a [T, F, C] map or a [B, T, F, C] batch."""
+        _check_input(x, axis)
+        t, f = x.shape[-3:-1]
         if (t, f) != (self.t_dim, self.f_dim):
             raise ContractError(
                 f"SDAB configured for {self.t_dim}x{self.f_dim} input, got {t}x{f}"
@@ -201,24 +205,11 @@ class TFAttentionBlock:
     def parameters(self):
         return [(name, p) for name, p in self.mechanism.parameters()]
 
-    def _apply_single(self, x, collect=None):
-        bt = self.mechanism.branch(
-            x, "time", None if collect is None else collect.setdefault("time", {})
-        )
-        bf = self.mechanism.branch(
-            x, "frequency", None if collect is None else collect.setdefault("frequency", {})
-        )
+    def __call__(self, x):
+        """The block on a [T, F, C] map or a [B, T, F, C] batch."""
+        bt = self.mechanism.branch(x, "time")
+        bf = self.mechanism.branch(x, "frequency")
         return ct.add(x, ct.scale(ct.add(bt, bf), 0.5))
-
-    def __call__(self, x, collect=None):
-        if x.ndim == 3:
-            return self._apply_single(x, collect)
-        if x.ndim != 4:
-            raise ShapeError(f"attention block input must be rank 3 or 4, got {x.shape}")
-        outs = []
-        for b in range(x.shape[0]):
-            outs.append(self._apply_single(ct.index_axis(x, 0, b), collect))
-        return ct.stack(outs, axis=0)
 
 
 def count_parameters(named_params):

@@ -20,6 +20,7 @@ Round-trip save/load is bit-exact: arrays are written as raw float64 bytes.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -88,7 +89,7 @@ def load_checkpoint(path):
             raise DataError(f"{path}: corrupt entry name: {exc}") from exc
         (ndim,) = struct.unpack("<B", take(1))
         dims = tuple(struct.unpack("<I", take(4))[0] for _ in range(ndim))
-        n = int(np.prod(dims)) if dims else 1
+        n = math.prod(dims)  # exact: a numpy product can overflow to 0
         real = np.frombuffer(take(8 * n), dtype="<f8").reshape(dims).copy()
         imag = np.frombuffer(take(8 * n), dtype="<f8").reshape(dims).copy()
         arrays[name] = (real, imag)

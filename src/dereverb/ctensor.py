@@ -207,6 +207,23 @@ def _unbroadcast(grad, shape):
     return grad
 
 
+def _reduce_to(grad, shape):
+    """Sum ``grad`` down to an operand's ``shape``.
+
+    A rank-2 operand broadcast over the batch axis of a rank-3 result is
+    reduced item by item, and the items are summed last to first: the order
+    in which a tape walk adds up the gradients of one node per item, so a
+    batched op gives that operand the same gradient bit for bit.  Every other
+    broadcast is :func:`_unbroadcast`.
+    """
+    if grad.ndim != 3 or len(shape) != 2:
+        return _unbroadcast(grad, shape)
+    acc = _unbroadcast(grad[-1], shape)
+    for item in grad[-2::-1]:
+        acc = acc + _unbroadcast(item, shape)
+    return acc
+
+
 def _as_tensor(x):
     if isinstance(x, ComplexTensor):
         return x
@@ -228,8 +245,8 @@ def add(a, b):
         out_r,
         out_i,
         [
-            (a, lambda gr, gi: (_unbroadcast(gr, a.shape), _unbroadcast(gi, a.shape))),
-            (b, lambda gr, gi: (_unbroadcast(gr, b.shape), _unbroadcast(gi, b.shape))),
+            (a, lambda gr, gi: (_reduce_to(gr, a.shape), _reduce_to(gi, a.shape))),
+            (b, lambda gr, gi: (_reduce_to(gr, b.shape), _reduce_to(gi, b.shape))),
         ],
     )
 
@@ -388,70 +405,88 @@ def _cmm(a, b):
 
 def _cmm_vjp_a(g, b):
     (gr, gi), (br, bi) = g, b
-    return gr @ br.T + gi @ bi.T, -gr @ bi.T + gi @ br.T
+    bt_r, bt_i = br.swapaxes(-1, -2), bi.swapaxes(-1, -2)
+    return gr @ bt_r + gi @ bt_i, -gr @ bt_i + gi @ bt_r
 
 
 def _cmm_vjp_b(a, g):
     (ar, ai), (gr, gi) = a, g
-    return ar.T @ gr + ai.T @ gi, -ai.T @ gr + ar.T @ gi
+    at_r, at_i = ar.swapaxes(-1, -2), ai.swapaxes(-1, -2)
+    return at_r @ gr + at_i @ gi, -at_i @ gr + at_r @ gi
+
+
+def _check_matmul(op, a, b):
+    """Matrix ops take [M, K] or [B, M, K] operands; a matrix is broadcast over B."""
+    if a.ndim not in (2, 3) or b.ndim not in (2, 3):
+        raise ShapeError(f"{op} needs rank-2 or rank-3 operands, got {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"inner dimensions differ: {a.shape} @ {b.shape}")
+    if a.ndim == b.ndim == 3 and a.shape[0] != b.shape[0]:
+        raise ShapeError(f"batch sizes differ: {a.shape} @ {b.shape}")
+
+
+def _reduced(vjp, operand):
+    """``vjp`` with its gradient summed down to ``operand``'s shape."""
+    shape = operand.shape
+    return lambda gr, gi: tuple(_reduce_to(g, shape) for g in vjp(gr, gi))
 
 
 def matmul(a, b):
-    """Complex matrix product of rank-2 tensors [MxK] @ [KxN]."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs rank-2 operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} @ {b.shape}")
+    """Complex matrix product [M, K] @ [K, N], batched over a leading B axis."""
+    _check_matmul("matmul", a, b)
     pa, pb = (a.real, a.imag), (b.real, b.imag)
     return _emit(
         "matmul",
         *_cmm(pa, pb),
         [
-            (a, lambda gr, gi: _cmm_vjp_a((gr, gi), pb)),
-            (b, lambda gr, gi: _cmm_vjp_b(pa, (gr, gi))),
+            (a, _reduced(lambda gr, gi: _cmm_vjp_a((gr, gi), pb), a)),
+            (b, _reduced(lambda gr, gi: _cmm_vjp_b(pa, (gr, gi)), b)),
         ],
     )
 
 
 def matmul_split(a, b):
-    """Per-part matrix product: (a_r @ b_r, a_i @ b_i)."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul_split needs rank-2 operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} @ {b.shape}")
+    """Per-part matrix product (a_r @ b_r, a_i @ b_i), batched like :func:`matmul`."""
+    _check_matmul("matmul_split", a, b)
     out_r = a.real @ b.real
     out_i = a.imag @ b.imag
 
     def vjp_a(gr, gi):
-        return (gr @ b.real.T, gi @ b.imag.T)
+        return (gr @ b.real.swapaxes(-1, -2), gi @ b.imag.swapaxes(-1, -2))
 
     def vjp_b(gr, gi):
-        return (a.real.T @ gr, a.imag.T @ gi)
+        return (a.real.swapaxes(-1, -2) @ gr, a.imag.swapaxes(-1, -2) @ gi)
 
-    return _emit("matmul_split", out_r, out_i, [(a, vjp_a), (b, vjp_b)])
+    return _emit(
+        "matmul_split", out_r, out_i, [(a, _reduced(vjp_a, a)), (b, _reduced(vjp_b, b))]
+    )
+
+
+def _check_matrices(op, a):
+    if a.ndim not in (2, 3):
+        raise ShapeError(f"{op} needs a matrix or a batch of them, got shape {a.shape}")
 
 
 def hermitian_transpose(a):
-    """Conjugate transpose of a rank-2 tensor."""
-    if a.ndim != 2:
-        raise ShapeError(f"hermitian_transpose needs a matrix, got shape {a.shape}")
+    """Conjugate transpose of the last two axes of a rank-2 or rank-3 tensor."""
+    _check_matrices("hermitian_transpose", a)
     return _emit(
         "hermitian_transpose",
-        a.real.T.copy(),
-        -a.imag.T,
-        [(a, lambda gr, gi: (gr.T, -gi.T))],
+        a.real.swapaxes(-1, -2).copy(),
+        -a.imag.swapaxes(-1, -2),
+        [(a, lambda gr, gi: (gr.swapaxes(-1, -2), -gi.swapaxes(-1, -2)))],
     )
 
 
 def transpose(a):
-    """Plain (non-conjugating) transpose of a rank-2 tensor."""
-    if a.ndim != 2:
-        raise ShapeError(f"transpose needs a matrix, got shape {a.shape}")
+    """Plain (non-conjugating) transpose of the last two axes, like
+    :func:`hermitian_transpose`."""
+    _check_matrices("transpose", a)
     return _emit(
         "transpose",
-        a.real.T.copy(),
-        a.imag.T.copy(),
-        [(a, lambda gr, gi: (gr.T, gi.T))],
+        a.real.swapaxes(-1, -2).copy(),
+        a.imag.swapaxes(-1, -2).copy(),
+        [(a, lambda gr, gi: (gr.swapaxes(-1, -2), gi.swapaxes(-1, -2)))],
     )
 
 
@@ -529,41 +564,6 @@ def concat(tensors, axis):
         srcs.append((t, lambda gr, gi, sl=sl: (gr[sl], gi[sl])))
         start += n
     return _emit("concat", out_r, out_i, srcs)
-
-
-def stack(tensors, axis=0):
-    tensors = list(tensors)
-    out_r = np.stack([t.real for t in tensors], axis=axis)
-    out_i = np.stack([t.imag for t in tensors], axis=axis)
-    srcs = []
-    for k, t in enumerate(tensors):
-        sl = [slice(None)] * out_r.ndim
-        sl[axis] = k
-        sl = tuple(sl)
-        srcs.append((t, lambda gr, gi, sl=sl: (gr[sl], gi[sl])))
-    return _emit("stack", out_r, out_i, srcs)
-
-
-def index_axis(a, axis, i):
-    """Select index ``i`` along ``axis`` (the axis is dropped)."""
-    sl = [slice(None)] * a.ndim
-    sl[axis] = i
-    sl = tuple(sl)
-    shape = a.shape
-
-    def vjp(gr, gi):
-        zr = np.zeros(shape, dtype=gr.dtype)
-        zi = np.zeros(shape, dtype=gi.dtype)
-        zr[sl] = gr
-        zi[sl] = gi
-        return (zr, zi)
-
-    return _emit(
-        "index_axis",
-        np.ascontiguousarray(a.real[sl]),
-        np.ascontiguousarray(a.imag[sl]),
-        [(a, vjp)],
-    )
 
 
 # ---------------------------------------------------------------------------

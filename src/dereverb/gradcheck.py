@@ -118,5 +118,5 @@ def run_suite(seed=0, eps=1e-5, n_instances=5, tol=1e-4, report=None):
         rows.append((name, worst, elapsed, ok))
         if report is not None:
             status = "PASS" if ok else "FAIL"
-            report(f"{status}  {name:<32s} max_rel_err={worst:.3e}  ({elapsed:.2f}s)")
+            report(f"{status}  {name:<38s} max_rel_err={worst:.3e}  ({elapsed:.2f}s)")
     return all_ok, rows

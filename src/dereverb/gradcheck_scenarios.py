@@ -131,4 +131,6 @@ SCENARIOS = [
     ("attention: complex, rank 4 (B=2)", _attention_scenario("complex", batch=2)),
     ("complex_batchnorm (eval)", _moved_batchnorm_scenario(False, batch=2)),
     ("complex_batchnorm (train, B=3)", _moved_batchnorm_scenario(True, batch=3)),
+    ("attention: conventional, rank 4 (B=3)", _attention_scenario("conventional", batch=3)),
+    ("attention: sdab, rank 4 (B=3)", _attention_scenario("sdab", batch=3)),
 ]

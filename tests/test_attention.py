@@ -18,6 +18,8 @@ from dereverb.gradcheck import (
     finite_difference_gradients,
     max_relative_error,
 )
+from dereverb.model import DccrnModel, ModelConfig
+from taped_ops import index_axis, stack
 
 
 def rand_ct(rng, *shape):
@@ -33,6 +35,31 @@ def rows_time(a):
 def rows_freq(a):
     t, f, c = a.shape
     return a.transpose(1, 0, 2).reshape(f, t * c)
+
+
+def per_item_block(block, x):
+    """The block as it ran on a [B, T, F, C] batch before it was batched:
+    each item sliced out, run through both branches on its own, and the
+    results stacked.  The tape then sums a weight's gradient over the items
+    last to first."""
+    outs = []
+    for b in range(x.shape[0]):
+        xb = index_axis(x, 0, b)
+        bt = block.mechanism.branch(xb, "time")
+        bf = block.mechanism.branch(xb, "frequency")
+        outs.append(ct.add(xb, ct.scale(ct.add(bt, bf), 0.5)))
+    return stack(outs, axis=0)
+
+
+def desk_maps():
+    """The distinct [T, F, C] maps the desk model's attention blocks see."""
+    model = DccrnModel(ModelConfig(attention="conventional"))
+    spatial = model.dims[1:] + model.dims[-2::-1]  # encoder outputs, then decoder
+    blocks = model.encoder + model.decoder
+    return sorted({(t, f, blk.attn.mechanism.channels_cc) for (t, f), blk in zip(spatial, blocks)})
+
+
+DESK_MAPS = desk_maps()
 
 
 def naive_softmax_rows(m):
@@ -269,14 +296,53 @@ class TestTFAttentionBlock:
         bf = block.mechanism.branch(x, "frequency").to_complex()
         np.testing.assert_allclose(got, x.to_complex() + 0.5 * (bt + bf), atol=1e-13)
 
-    def test_batched_matches_per_sample(self):
+    @pytest.mark.parametrize("variant", ["sdab", "conventional", "complex"])
+    def test_batched_matches_per_sample(self, variant):
         rng = np.random.default_rng(76)
-        block = TFAttentionBlock("conventional", 2, 3, 3, rng=rng)
+        block = TFAttentionBlock(variant, 2, 3, 3, rng=rng)
         xb = rand_ct(rng, 2, 3, 3, 2)
         full = block(xb).to_complex()
         for b in range(2):
             single = block(ComplexTensor(xb.real[b], xb.imag[b])).to_complex()
-            np.testing.assert_allclose(full[b], single, atol=1e-14)
+            np.testing.assert_array_equal(full[b], single)
+
+    @pytest.mark.parametrize("batch", [3, 4])  # with 2 items the sum order cannot show
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("variant", ["sdab", "conventional", "complex"])
+    def test_batched_bit_identical_to_per_item(self, variant, dtype, batch):
+        rng = np.random.default_rng(79)
+
+        def draw(*shape):
+            return ComplexTensor(*(rng.standard_normal(shape).astype(dtype) for _ in range(2)))
+
+        for t, f, c in DESK_MAPS:
+            block = TFAttentionBlock(variant, c, t, f, rng=rng, dtype=dtype)
+            x, probe = draw(batch, t, f, c), draw(batch, t, f, c)
+            params = [x] + [p for _, p in block.parameters()]
+            got_y, want_y = block(x), per_item_block(block, x)
+            got, want = (
+                analytic_gradients(lambda: ct.sum_abs2(ct.cmul(run(block, x), probe)), params)
+                for run in (TFAttentionBlock.__call__, per_item_block)
+            )
+            for g, w in zip(
+                [got_y.real, got_y.imag] + [a for pair in got for a in pair],
+                [want_y.real, want_y.imag] + [a for pair in want for a in pair],
+            ):
+                assert g.dtype == dtype
+                np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("variant", ["conventional", "complex"])
+    def test_collect_holds_one_map_per_item(self, variant):
+        rng = np.random.default_rng(80)
+        sa = TFAttentionBlock(variant, 2, 4, 3, rng=rng).mechanism
+        x = rand_ct(rng, 3, 4, 3, 2)
+        batched, single = {}, {}
+        sa.branch(x, "frequency", collect=batched)
+        sa.branch(ComplexTensor(x.real[1], x.imag[1]), "frequency", collect=single)
+        assert batched.keys() == single.keys()
+        for key, maps in batched.items():
+            assert maps.shape == (3, 3, 3) and single[key].shape == (3, 3)
+            np.testing.assert_array_equal(maps[1], single[key])
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,6 +1,7 @@
 """CLI contracts: subcommands, exit codes, run records, determinism."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -159,6 +160,21 @@ class TestEnhance:
         assert rc == 2
         err = capsys.readouterr().err
         assert "8000" in err and "500" in err
+
+    def test_entry_too_large_to_count_exits_2(self, tmp_path, capsys):
+        # 65536**4 elements: a product in int64 wraps to 0
+        ckpt = tmp_path / "huge.ckpt"
+        save_checkpoint(ckpt, {"w": (np.zeros((1, 1, 1, 1)), np.zeros((1, 1, 1, 1)))})
+        dims = struct.pack("<4I", 1, 1, 1, 1), struct.pack("<4I", *[65536] * 4)
+        ckpt.write_bytes(ckpt.read_bytes().replace(*dims, 1))
+        write_wav(tmp_path / "in.wav", WaveForm(np.zeros(300), 500))
+        rc = main(
+            ["enhance", "--ckpt", str(ckpt), "--in", str(tmp_path / "in.wav"),
+             "--out", str(tmp_path / "out.wav")]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "huge.ckpt" in err and "truncated" in err and len(err.strip().splitlines()) == 1
 
     def test_wrong_buffer_shape_is_data_error(self, tmp_path, capsys):
         ckpt = self._checkpoint(tmp_path)

@@ -1,12 +1,13 @@
 """Complex tensor arithmetic and reverse-mode gradients."""
 
+import struct
 import weakref
 
 import numpy as np
 import pytest
 
 from dereverb import ctensor as ct
-from dereverb.checkpoint import load_checkpoint, save_checkpoint
+from dereverb.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from dereverb.ctensor import ComplexTensor, GradTape
 from dereverb.errors import ContractError, ShapeError
 from dereverb.gradcheck import (
@@ -14,6 +15,7 @@ from dereverb.gradcheck import (
     finite_difference_gradients,
     max_relative_error,
 )
+from taped_ops import index_axis, stack
 
 
 def rand_ct(rng, *shape):
@@ -107,6 +109,64 @@ class TestHermitianTranspose:
     def test_rank_error(self):
         with pytest.raises(ShapeError):
             ct.hermitian_transpose(ComplexTensor(np.zeros(3)))
+
+
+def per_item(op, *operands):
+    """``op`` on each item of the rank-3 operands, rank-2 ones shared, as one
+    tape node per item, the results stacked: the oracle for a batched op."""
+    batch = next(t.shape[0] for t in operands if t.ndim == 3)
+    pick = lambda t, b: index_axis(t, 0, b) if t.ndim == 3 else t
+    return stack([op(*(pick(t, b) for t in operands)) for b in range(batch)], axis=0)
+
+
+class TestBatchedMatrixOps:
+    """Rank-3 operands: per-item results bit for bit, and the gradient of a
+    shared rank-2 operand summed over the items last to first, as the tape
+    sums the per-item nodes.  Five items, so a wrong sum order shows."""
+
+    def _assert_matches_per_item(self, op, operands):
+        rng = np.random.default_rng(90)
+        got_y, want_y = op(*operands), per_item(op, *operands)
+        probe = rand_ct(rng, *got_y.shape)
+        got, want = (
+            analytic_gradients(lambda: ct.sum_abs2(ct.cmul(run(*operands), probe)), operands)
+            for run in (op, lambda *ts: per_item(op, *ts))
+        )
+        assert got_y.shape == want_y.shape
+        for g, w in zip(
+            [got_y.real, got_y.imag] + [a for pair in got for a in pair],
+            [want_y.real, want_y.imag] + [a for pair in want for a in pair],
+        ):
+            np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("op", [ct.matmul, ct.matmul_split])
+    @pytest.mark.parametrize("batched", [(True, True), (True, False), (False, True)])
+    def test_products(self, op, batched):
+        rng = np.random.default_rng(91)
+        lead_a, lead_b = ((5,) if flag else () for flag in batched)
+        self._assert_matches_per_item(op, [rand_ct(rng, *lead_a, 6, 9), rand_ct(rng, *lead_b, 9, 7)])
+
+    @pytest.mark.parametrize("op", [ct.transpose, ct.hermitian_transpose])
+    def test_transposes(self, op):
+        self._assert_matches_per_item(op, [rand_ct(np.random.default_rng(92), 5, 6, 9)])
+
+    @pytest.mark.parametrize("bias_shape", [(6, 1), (6, 9)])
+    def test_add_shared_bias(self, bias_shape):
+        rng = np.random.default_rng(93)
+        self._assert_matches_per_item(ct.add, [rand_ct(rng, 5, 6, 9), rand_ct(rng, *bias_shape)])
+
+    def test_shape_errors(self):
+        rng = np.random.default_rng(94)
+        for op in (ct.matmul, ct.matmul_split):
+            with pytest.raises(ShapeError, match="batch"):
+                op(rand_ct(rng, 3, 2, 4), rand_ct(rng, 2, 4, 5))
+            with pytest.raises(ShapeError, match="rank"):
+                op(rand_ct(rng, 2, 3, 2, 4), rand_ct(rng, 4, 5))
+            with pytest.raises(ShapeError, match="rank"):
+                op(rand_ct(rng, 2, 4), rand_ct(rng, 2, 3, 4, 5))
+        for op in (ct.transpose, ct.hermitian_transpose):
+            with pytest.raises(ShapeError):
+                op(rand_ct(rng, 2, 3, 2, 4))
 
 
 class TestBackward:
@@ -269,8 +329,8 @@ class TestShapeOps:
         a, b = rand_ct(rng, 2, 3), rand_ct(rng, 2, 3)
         cat = ct.concat([a, b], axis=0)
         assert cat.shape == (4, 3)
-        stk = ct.stack([a, b], axis=0)
-        picked = ct.index_axis(stk, 0, 1)
+        stk = stack([a, b], axis=0)
+        picked = index_axis(stk, 0, 1)
         np.testing.assert_array_equal(picked.real, b.real)
         np.testing.assert_array_equal(picked.imag, b.imag)
 
@@ -288,6 +348,13 @@ class TestShapeOps:
         analytic = analytic_gradients(build, [a, b])
         numeric = finite_difference_gradients(lambda: float(build().real), [a, b])
         assert max_relative_error(analytic, numeric) < 1e-4
+
+
+def overflowing_checkpoint():
+    """Checkpoint bytes whose one entry claims dims (65536,) * 4."""
+    head = MAGIC + struct.pack("<I", 2) + b"{}" + struct.pack("<I", 1)
+    entry = struct.pack("<H", 1) + b"w" + struct.pack("<B", 4) + struct.pack("<4I", *[65536] * 4)
+    return head + entry + bytes(64)
 
 
 class TestCheckpoint:
@@ -315,6 +382,15 @@ class TestCheckpoint:
         from dereverb.errors import DataError
 
         with pytest.raises(DataError):
+            load_checkpoint(path)
+
+    def test_entry_too_large_to_count_is_truncated(self, tmp_path):
+        # 65536**4 elements: a product in int64 wraps to 0
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(overflowing_checkpoint())
+        from dereverb.errors import DataError
+
+        with pytest.raises(DataError, match="truncated"):
             load_checkpoint(path)
 
     def test_rejects_non_utf8_entry_name(self, tmp_path):

@@ -15,6 +15,7 @@ from dereverb.gradcheck import (
     finite_difference_gradients,
     max_relative_error,
 )
+from taped_ops import index_axis, stack
 
 
 def rand_ct(rng, *shape, away_from_zero=False):
@@ -630,20 +631,20 @@ def taped_gru_run(cell, x_seq):
     outs = []
     for t in range(steps):
         z = sigmoid_split(
-            ct.add(ct.add(ct.index_axis(px["z"], 1, t), ct.matmul(h, cell.u_z)), cell.b_z)
+            ct.add(ct.add(index_axis(px["z"], 1, t), ct.matmul(h, cell.u_z)), cell.b_z)
         )
         r = sigmoid_split(
-            ct.add(ct.add(ct.index_axis(px["r"], 1, t), ct.matmul(h, cell.u_r)), cell.b_r)
+            ct.add(ct.add(index_axis(px["r"], 1, t), ct.matmul(h, cell.u_r)), cell.b_r)
         )
         cand = ct.tanh_split(
             ct.add(
-                ct.add(ct.index_axis(px["h"], 1, t), ct.matmul(mul_split(r, h), cell.u_h)),
+                ct.add(index_axis(px["h"], 1, t), ct.matmul(mul_split(r, h), cell.u_h)),
                 cell.b_h,
             )
         )
         h = ct.add(mul_split(shift(neg(z), 1 + 1j), h), mul_split(z, cand))
         outs.append(h)
-    return ct.stack(outs, axis=1)
+    return stack(outs, axis=1)
 
 
 class TestComplexGru:

@@ -212,6 +212,20 @@ class TestDccrnForward:
         numeric = finite_difference_gradients(lambda: float(build().real), subset)
         assert max_relative_error(analytic, numeric) < 1e-4
 
+    def test_desk_complex_step_tape_size(self):
+        # one node per conv, batchnorm and GRU layer, and 43 per attention
+        # block: the block runs on the whole batch, not item by item
+        cfg = ModelConfig(attention="complex")
+        model = DccrnModel(cfg)
+        rng = np.random.default_rng(122)
+        x = rand_images(rng, cfg, batch=cfg.batch_size)
+        tape = ct.GradTape()
+        for _, p in model.parameters():
+            tape.watch(p)
+        s_hat = ct.cmul(model.forward(x, training=True), x)
+        complex_loss(x, s_hat, cfg.compress_exponent, cfg.loss_beta)
+        assert len(tape) < 600
+
     @pytest.mark.parametrize("bounded", [False, True])
     def test_whole_model_gradcheck_eval_mode(self, bounded):
         # every parameter of a shrunken model, through eval-mode batchnorm
