@@ -203,7 +203,7 @@ class TFAttentionBlock:
             self.mechanism = MECHANISMS[variant](channels_cc, rng=rng, dtype=dtype)
 
     def parameters(self):
-        return [(name, p) for name, p in self.mechanism.parameters()]
+        return self.mechanism.parameters()
 
     def __call__(self, x):
         """The block on a [T, F, C] map or a [B, T, F, C] batch."""

@@ -112,7 +112,7 @@ def _cmd_train(args, argv):
         out / "run.json",
         "train",
         argv,
-        cfg.to_dict(),
+        dataclasses.asdict(cfg),
         {"checkpoint": final.name, "loss_csv": "loss.csv", "steps": len(rows)},
     )
     final_loss = f"; final loss {rows[-1][2]:.6g}" if rows else ""
@@ -138,7 +138,7 @@ def _cmd_enhance(args, argv):
         out.with_name(out.name + ".run.json"),
         "enhance",
         argv,
-        {"checkpoint": str(args.ckpt), "model_config": model.cfg.to_dict(),
+        {"checkpoint": str(args.ckpt), "model_config": dataclasses.asdict(model.cfg),
          "normalized": peak > 1.0},
         {"wav": out.name},
     )

@@ -1,10 +1,12 @@
-"""Plain-text configuration files and command-line overrides.
+"""Config files, ``--set`` overrides and checkpoint metadata, typed by one rule.
 
 Format: one ``key = value`` pair per line; ``#`` starts a comment; blank
-lines are ignored.  Values are coerced by the target dataclass field:
-integer tuples are comma-separated (``channels = 4,8,16,32``), optional
-floats accept ``none``, booleans accept true/false/1/0/yes/no.  Unknown
-keys are rejected.
+lines are ignored; unknown keys are rejected.  The type of a field's default
+decides what its value may be: a list of ints for a tuple, true or false for
+a bool, an int for an int, a number for a float, a number or null for a
+``None`` default and a string for a str.  Config text is first read as the
+JSON value it spells (``4,8`` is ``[4, 8]``, ``none`` or nothing is null; a
+str field takes the text as it stands), then checked as checkpoint metadata is.
 """
 
 from __future__ import annotations
@@ -14,10 +16,8 @@ from pathlib import Path
 
 from .datasynth import SynthConfig
 from .errors import ConfigError
-from .model import ModelConfig
 
-_TUPLE_FIELDS = {"channels", "kernel", "stride", "padding"}
-_OPTIONAL_FLOAT_FIELDS = {"snr_db", "psd_smoothing_alpha"}
+_WORDS = {"": None, "none": None, "true": True, "false": False}
 
 
 def parse_kv_text(text, origin="<config>"):
@@ -39,53 +39,64 @@ def parse_kv_text(text, origin="<config>"):
     return out
 
 
-def _coerce(name, text, default):
-    if name in _TUPLE_FIELDS:
+def _spelled(text, default):
+    """The JSON value that config text spells for a field with this default."""
+    if isinstance(default, str):
+        return text
+    if isinstance(default, tuple):
+        return [_spelled(part.strip(), None) for part in text.split(",")]
+    if text.lower() in _WORDS:
+        return _WORDS[text.lower()]
+    for number in (int, float):
         try:
-            return tuple(int(part) for part in text.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"{name}: expected comma-separated ints, got {text!r}") from exc
-    if name in _OPTIONAL_FLOAT_FIELDS:
-        if text.lower() in ("none", ""):
-            return None
-        try:
-            return float(text)
-        except ValueError as exc:
-            raise ConfigError(f"{name}: expected a float or 'none', got {text!r}") from exc
-    if isinstance(default, bool):
-        low = text.lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"{name}: expected a boolean, got {text!r}")
-    if isinstance(default, int):
-        try:
-            return int(text)
-        except ValueError as exc:
-            raise ConfigError(f"{name}: expected an int, got {text!r}") from exc
-    if isinstance(default, float):
-        try:
-            return float(text)
-        except ValueError as exc:
-            raise ConfigError(f"{name}: expected a float, got {text!r}") from exc
+            return number(text)
+        except ValueError:
+            pass
     return text
 
 
-def _build(cls, raw):
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(raw) - set(fields)
+def _field_value(name, value, default):
+    """``value`` (decoded JSON) checked against the type of the field's ``default``;
+    tuples come back as tuples and numbers for float fields as floats."""
+
+    def is_int(v):
+        return isinstance(v, int) and not isinstance(v, bool)
+
+    if isinstance(default, tuple):
+        ok, kind = isinstance(value, (list, tuple)) and all(map(is_int, value)), "list of ints"
+    elif isinstance(default, (bool, str)):
+        ok, kind = isinstance(value, type(default)), type(default).__name__
+    elif isinstance(default, int):
+        ok, kind = is_int(value), "int"
+    else:
+        ok = (value is None and default is None) or is_int(value) or isinstance(value, float)
+        kind = "number" if default is not None else "number or null"
+    if not ok:
+        raise ConfigError(f"config field {name!r} must be a {kind}, got {value!r}")
+    if isinstance(default, tuple):
+        return tuple(value)
+    if (default is None or isinstance(default, float)) and value is not None:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"config field {name!r} is out of range: {value!r}") from None
+    return value
+
+
+def build_config(cls, values):
+    """The validated ``cls`` whose fields take ``values``, a dict of decoded JSON
+    values; an unknown key or a value not of its field's type is a ConfigError."""
+    if not isinstance(values, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(values).__name__}")
+    unknown = set(values) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     defaults = cls()
-    kwargs = {}
-    for name, text in raw.items():
-        kwargs[name] = _coerce(name, text, getattr(defaults, name))
-    cfg = dataclasses.replace(defaults, **kwargs)
-    return cfg.validate()
+    kwargs = {k: _field_value(k, v, getattr(defaults, k)) for k, v in values.items()}
+    return dataclasses.replace(defaults, **kwargs).validate()
 
 
-def _gather(path, overrides):
+def _load(cls, path, overrides):
     raw = {}
     if path is not None:
         p = Path(path)
@@ -101,15 +112,19 @@ def _gather(path, overrides):
             raise ConfigError(f"override must look like key=value, got {item!r}")
         key, value = item.split("=", 1)
         raw[key.strip()] = value.strip()
-    return raw
+    defaults = cls()
+    values = {key: _spelled(text, getattr(defaults, key, None)) for key, text in raw.items()}
+    return build_config(cls, values)
 
 
-def load_model_config(path=None, overrides=()) -> ModelConfig:
-    return _build(ModelConfig, _gather(path, overrides))
+def load_model_config(path=None, overrides=()):
+    from .model import ModelConfig  # model imports this module
+
+    return _load(ModelConfig, path, overrides)
 
 
 def load_synth_config(path=None, overrides=()) -> SynthConfig:
-    return _build(SynthConfig, _gather(path, overrides))
+    return _load(SynthConfig, path, overrides)
 
 
 def config_to_text(cfg) -> str:

@@ -490,36 +490,30 @@ def transpose(a):
     )
 
 
-def softmax_rows(a):
-    """Row-softmax of the real part along the last axis; imag output is zero.
-
-    Uses per-row max subtraction; analytically identical, overflow-safe.
-    """
-    z = a.real - a.real.max(axis=-1, keepdims=True)
+def _softmax(x):
+    """Row-softmax of a real array along its last axis, with per-row max subtraction
+    (analytically identical, overflow-safe)."""
+    z = x - x.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    s = e / e.sum(axis=-1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
-    def vjp(gr, gi):
-        inner = (gr * s).sum(axis=-1, keepdims=True)
-        return (s * (gr - inner), np.zeros_like(s))
 
+def _softmax_vjp(g, s):
+    inner = (g * s).sum(axis=-1, keepdims=True)
+    return s * (g - inner)
+
+
+def softmax_rows(a):
+    """Row-softmax of the real part along the last axis; imag output is zero."""
+    s = _softmax(a.real)
+    vjp = lambda gr, gi: (_softmax_vjp(gr, s), np.zeros_like(s))
     return _emit("softmax_rows", s, np.zeros_like(s), [(a, vjp)])
 
 
 def softmax_rows_split(a):
     """Row-softmax applied to real and imaginary parts independently."""
-    zr = a.real - a.real.max(axis=-1, keepdims=True)
-    er = np.exp(zr)
-    sr = er / er.sum(axis=-1, keepdims=True)
-    zi = a.imag - a.imag.max(axis=-1, keepdims=True)
-    ei = np.exp(zi)
-    si = ei / ei.sum(axis=-1, keepdims=True)
-
-    def vjp(gr, gi):
-        inner_r = (gr * sr).sum(axis=-1, keepdims=True)
-        inner_i = (gi * si).sum(axis=-1, keepdims=True)
-        return (sr * (gr - inner_r), si * (gi - inner_i))
-
+    sr, si = _softmax(a.real), _softmax(a.imag)
+    vjp = lambda gr, gi: (_softmax_vjp(gr, sr), _softmax_vjp(gi, si))
     return _emit("softmax_rows_split", sr, si, [(a, vjp)])
 
 

@@ -57,11 +57,15 @@ class SynthConfig:
     direct_path_gain: float = 1.0
 
     def validate(self):
+        for name in ("duration_s", "t60_min", "t60_max", "snr_db", "direct_path_gain"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if not 0 < self.t60_min <= self.t60_max:
             raise ConfigError(
                 f"need 0 < t60_min <= t60_max, got [{self.t60_min}, {self.t60_max}]"
             )
-        if self.duration_s * self.sample_rate < 1:
+        if self.sample_rate < 1 or self.duration_s * self.sample_rate < 1:
             raise ConfigError("duration too short")
         return self
 
@@ -127,6 +131,8 @@ def synth_speech_like(duration_s, sample_rate, rng) -> WaveForm:
     n = int(round(duration_s * sample_rate))
     out = np.zeros(n)
     seg_len = int(round(0.25 * sample_rate))
+    if seg_len < 1:
+        raise ContractError(f"a 0.25 s segment holds no sample at {sample_rate} Hz")
     t_seg = np.arange(seg_len) / sample_rate
     pos = 0
     voiced = False
@@ -197,6 +203,8 @@ def generate_dataset(n_pairs, seed, out_dir, cfg: SynthConfig | None = None):
     Returns the manifest path.
     """
     cfg = (cfg or SynthConfig()).validate()
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -2,8 +2,8 @@
 
 The checker re-runs a forward closure with each parameter element perturbed
 by +/-eps (central differences) and compares against one reverse-mode pass.
-Scenario registration for the CLI ``gradcheck`` subcommand lives here too;
-the scenarios themselves are defined once the layers exist (bottom of file).
+:func:`run_suite` runs the CLI ``gradcheck`` subcommand over the scenarios
+registered in :mod:`dereverb.gradcheck_scenarios`.
 """
 
 from __future__ import annotations

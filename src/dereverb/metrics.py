@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, DataError
-from .signal import WaveForm, read_wav
+from .signal import WaveForm, hann_window, read_wav
 
 LPC_ORDER = 12
 ENERGY_GATE_DB = 40.0
@@ -40,7 +40,7 @@ def _frame_pair(ref: WaveForm, test: WaveForm):
     n = min(len(ref), len(test))
     if n < frame:
         raise ContractError(f"signals shorter than one 32 ms frame ({frame} samples)")
-    win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(frame) / frame)
+    win = hann_window(frame)
     # [num, frame] views of the unwindowed frames; only gated frames are copied
     vr, vt = (np.lib.stride_tricks.sliding_window_view(x.samples[:n], frame)[::hop]
               for x in (ref, test))

@@ -12,14 +12,16 @@ invert exactly.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import ctensor as ct
-from .attention import TFAttentionBlock
+from .attention import TFAttentionBlock, count_parameters
 from .checkpoint import load_checkpoint, save_checkpoint
+from .config import build_config
 from .ctensor import ComplexTensor, GradTape
 from .datasynth import read_manifest
 from .errors import ConfigError, ContractError, DataError, ShapeError, TrainingError
@@ -116,6 +118,11 @@ class ModelConfig:
     def validate(self):
         if self.num_enc_layers < 1:
             raise ConfigError("num_enc_layers must be >= 1")
+        for name, low in (("kernel", 1), ("stride", 1), ("padding", 0)):
+            pair = getattr(self, name)
+            if len(pair) != 2 or min(pair) < low:
+                raise ConfigError(f"{name} must be a (time, frequency) pair of ints >= {low}, "
+                                  f"got {pair}")
         if len(self.channels) != self.num_enc_layers:
             raise ConfigError(
                 f"channels {self.channels} must list one width per encoder layer "
@@ -123,6 +130,8 @@ class ModelConfig:
             )
         if any(c % 2 or c < 2 for c in self.channels):
             raise ConfigError(f"channel widths must be even and positive: {self.channels}")
+        if self.gru_layers < 1:
+            raise ConfigError(f"gru_layers must be >= 1, got {self.gru_layers}")
         if self.gru_hidden % 2 or self.gru_hidden < 2:
             raise ConfigError(f"gru_hidden must be even and positive: {self.gru_hidden}")
         if self.attention not in ATTENTION_VARIANTS:
@@ -131,59 +140,24 @@ class ModelConfig:
             )
         if not 0.0 <= self.loss_beta <= 1.0:
             raise ConfigError(f"loss_beta must lie in [0, 1], got {self.loss_beta}")
-        if not self.compress_exponent > 0:
-            raise ConfigError(f"compress_exponent must be > 0, got {self.compress_exponent}")
+        if not 0 < self.compress_exponent < math.inf:
+            raise ConfigError(
+                f"compress_exponent must be finite and > 0, got {self.compress_exponent}"
+            )
+        if not 0 <= self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
+        if self.seed < 0 or self.checkpoint_every < 0:
+            raise ConfigError(
+                f"seed and checkpoint_every must be >= 0, got {self.seed}, {self.checkpoint_every}"
+            )
         if self.dtype not in ("float64", "float32"):
             raise ConfigError(f"dtype must be float64 or float32, got {self.dtype!r}")
         if self.psd_smoothing_alpha is not None and not (0 <= self.psd_smoothing_alpha < 1):
             raise ConfigError("psd_smoothing_alpha must lie in [0, 1)")
         self.signal_config().validate()
         return self
-
-    def to_dict(self):
-        d = dataclasses.asdict(self)
-        d["channels"] = list(self.channels)
-        d["kernel"] = list(self.kernel)
-        d["stride"] = list(self.stride)
-        d["padding"] = list(self.padding)
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        """Config from decoded JSON, as :meth:`to_dict` writes it; an unknown key or
-        a value not of its field's type is a ConfigError."""
-        if not isinstance(d, dict):
-            raise ConfigError(f"model config must be a JSON object, got {type(d).__name__}")
-        names = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - names
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        defaults = cls()
-        kwargs = {key: _typed(key, value, getattr(defaults, key)) for key, value in d.items()}
-        return cls(**kwargs).validate()
-
-
-def _typed(name, value, default):
-    """``value`` checked against the type of the field's ``default``: int lists for
-    tuples (returned as tuples), numbers for floats, None too for optional floats."""
-
-    def is_int(v):
-        return isinstance(v, int) and not isinstance(v, bool)
-
-    if isinstance(default, tuple):
-        ok, kind = isinstance(value, (list, tuple)) and all(map(is_int, value)), "list of ints"
-    elif isinstance(default, (bool, str)):
-        ok, kind = isinstance(value, type(default)), type(default).__name__
-    elif isinstance(default, int):
-        ok, kind = is_int(value), "int"
-    else:
-        ok = (value is None and default is None) or is_int(value) or isinstance(value, float)
-        kind = "number" if default is not None else "number or null"
-    if not ok:
-        raise ConfigError(f"config field {name!r} must be a {kind}, got {value!r}")
-    return tuple(value) if isinstance(default, tuple) else value
 
 
 class _UNetBlock:
@@ -325,13 +299,13 @@ class DccrnModel:
         return out
 
     def parameter_count(self):
-        return int(sum(p.real.size + p.imag.size for _, p in self.parameters()))
+        return count_parameters(self.parameters())
 
     def save(self, path):
         arrays = {name: (p.real, p.imag) for name, p in self.parameters()}
         for name, b in self.buffers():
             arrays[f"buffer.{name}"] = (b, np.zeros_like(b))
-        save_checkpoint(path, arrays, meta={"model_config": self.cfg.to_dict()})
+        save_checkpoint(path, arrays, meta={"model_config": dataclasses.asdict(self.cfg)})
 
     def load_arrays(self, arrays):
         dtype = self.cfg.np_dtype
@@ -359,7 +333,7 @@ class DccrnModel:
         if not isinstance(meta, dict) or "model_config" not in meta:
             raise DataError(f"{path}: checkpoint carries no model config")
         try:
-            cfg = ModelConfig.from_dict(meta["model_config"])
+            cfg = build_config(ModelConfig, meta["model_config"])
         except ConfigError as exc:
             raise DataError(f"{path}: bad model config: {exc}") from exc
         model = cls(cfg)

@@ -53,8 +53,11 @@ class SignalConfig:
                 f"need 0 < hop <= frame_len <= fft_size, got "
                 f"hop={self.hop}, frame={self.frame_len}, fft={self.fft_size}"
             )
-        if self.image_frames < 1:
-            raise ContractError(f"image_frames must be >= 1, got {self.image_frames}")
+        if self.image_frames < 1 or self.sample_rate < 1:
+            raise ContractError(
+                f"image_frames and sample_rate must be >= 1, got {self.image_frames}, "
+                f"{self.sample_rate}"
+            )
         return self
 
 

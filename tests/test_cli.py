@@ -1,11 +1,17 @@
 """CLI contracts: subcommands, exit codes, run records, determinism."""
 
+import dataclasses
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dereverb
 from dereverb.checkpoint import load_checkpoint, save_checkpoint
 from dereverb.cli import main
 from dereverb.model import DccrnModel, ModelConfig
@@ -79,6 +85,21 @@ class TestSynth:
         assert record["resolved_settings"]["sample_rate"] == 500
         assert record["outputs"]["manifest"] == "manifest.csv"
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        assert main(synth_args(tmp_path / "d", seed=-1)) == 2
+        err = capsys.readouterr().err
+        assert "seed" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("rate", [1, 2])
+    def test_rate_below_one_sample_per_segment_exits_2(self, tmp_path, rate):
+        src = Path(dereverb.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        argv = [sys.executable, "-m", "dereverb.cli", "synth", "--n", "1", "--out",
+                str(tmp_path / "d"), "--set", f"sample_rate={rate}"]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert "segment" in done.stderr and len(done.stderr.strip().splitlines()) == 1
+
 
 class TestTrain:
     def test_smoke(self, tmp_path, capsys):
@@ -129,6 +150,36 @@ class TestTrain:
         for ov in TINY_MODEL_OVERRIDES:
             args += ["--set", ov]
         assert main(args) == 2
+
+    @pytest.mark.parametrize(
+        "setting",
+        ["kernel=3", "stride=1,2,3", "stride=0,2", "padding=-1,1", "gru_layers=0", "seed=-1",
+         "learning_rate=-1", "checkpoint_every=-1"],
+    )
+    def test_out_of_range_setting_exits_2(self, tmp_path, capsys, setting):
+        assert main(synth_args(tmp_path / "data", n=1)) == 0
+        args = ["train", "--data", str(tmp_path / "data" / "manifest.csv"),
+                "--out", str(tmp_path / "run")]
+        for ov in TINY_MODEL_OVERRIDES + [setting]:
+            args += ["--set", ov]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert setting.split("=")[0] in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "run" / "final.ckpt").exists()
+
+    def test_run_record_and_checkpoint_hold_the_config(self, tmp_path):
+        assert main(synth_args(tmp_path / "data", n=1)) == 0
+        args = ["train", "--data", str(tmp_path / "data" / "manifest.csv"),
+                "--out", str(tmp_path / "run")]
+        for ov in TINY_MODEL_OVERRIDES + ["epochs=0"]:
+            args += ["--set", ov]
+        assert main(args) == 0
+        settings = json.loads((tmp_path / "run" / "run.json").read_text())["resolved_settings"]
+        assert settings["channels"] == [4, 4] and settings["learning_rate"] == 1e-3
+        _, meta = load_checkpoint(tmp_path / "run" / "final.ckpt")
+        assert meta["model_config"] == settings
+        cfg = DccrnModel.from_checkpoint(tmp_path / "run" / "final.ckpt").cfg
+        assert cfg == dataclasses.replace(tiny_model_config(), epochs=0, batch_size=8)
 
 
 class TestEnhance:
@@ -194,7 +245,8 @@ class TestEnhance:
     @pytest.mark.parametrize(
         "field,value",
         [("epochs", "x"), ("channels", 5), ("kernel", [3, "3"]), ("bounded_mask", 1),
-         ("psd_smoothing_alpha", "0.5")],
+         ("psd_smoothing_alpha", "0.5"), ("kernel", [3]), ("stride", [0, 2]),
+         ("padding", [1, 1, 1]), ("seed", -1), ("gru_layers", 0)],
     )
     def test_mistyped_model_config_exits_2(self, tmp_path, capsys, field, value):
         ckpt = self._checkpoint(tmp_path)

@@ -3,11 +3,13 @@
 import pytest
 
 from dereverb.config import (
+    build_config,
     config_to_text,
     load_model_config,
     load_synth_config,
     parse_kv_text,
 )
+from dereverb.datasynth import SynthConfig
 from dereverb.errors import ConfigError
 from dereverb.model import ModelConfig
 
@@ -57,6 +59,39 @@ class TestModelConfigLoading:
         cfg = load_model_config(overrides=["psd_smoothing_alpha=none"])
         assert cfg.psd_smoothing_alpha is None
 
+    @pytest.mark.parametrize(
+        "text,value",
+        [("channels=2,4,6,8", [2, 4, 6, 8]), ("kernel=5 , 3", [5, 3]), ("bounded_mask=True", True),
+         ("psd_smoothing_alpha=none", None), ("psd_smoothing_alpha=", None),
+         ("psd_smoothing_alpha=0.5", 0.5), ("learning_rate=1", 1), ("learning_rate=2e-3", 2e-3),
+         ("epochs=3", 3), ("attention=none", "none"), ("dtype=float32", "float32")],
+    )
+    def test_text_is_typed_as_the_json_it_spells(self, text, value):
+        key = text.split("=")[0]
+        assert load_model_config(overrides=[text]) == build_config(ModelConfig, {key: value})
+
+    @pytest.mark.parametrize(
+        "text", ["epochs=3.0", "epochs=", "channels=4,8.5", "kernel=", "bounded_mask=1",
+                 "bounded_mask=yes", "learning_rate=x", "learning_rate=none", "dtype="],
+    )
+    def test_text_of_the_wrong_type_rejected(self, text):
+        with pytest.raises(ConfigError, match=text.split("=")[0]):
+            load_model_config(overrides=[text])
+
+    def test_float_fields_hold_floats(self):
+        for cfg in (load_model_config(overrides=["learning_rate=1"]),
+                    build_config(ModelConfig, {"learning_rate": 1})):
+            assert type(cfg.learning_rate) is float
+        assert type(build_config(SynthConfig, {"snr_db": 20}).snr_db) is float
+
+    def test_json_out_of_float_range_rejected(self):
+        with pytest.raises(ConfigError, match="learning_rate.*out of range"):
+            build_config(ModelConfig, {"learning_rate": 10**400})
+
+    def test_json_not_an_object_rejected(self):
+        with pytest.raises(ConfigError, match="JSON object"):
+            build_config(ModelConfig, [1, 2])
+
     def test_validation_applies(self):
         with pytest.raises(ConfigError):
             load_model_config(overrides=["channels=3,5", "num_enc_layers=2"])
@@ -83,3 +118,11 @@ class TestSynthConfigLoading:
     def test_invalid_range_rejected(self):
         with pytest.raises(ConfigError):
             load_synth_config(overrides=["t60_min=0.9", "t60_max=0.3"])
+
+    @pytest.mark.parametrize(
+        "text", ["duration_s=nan", "duration_s=inf", "t60_min=nan", "t60_max=inf",
+                 "snr_db=nan", "direct_path_gain=-inf", "sample_rate=0"],
+    )
+    def test_non_finite_or_out_of_range_rejected(self, text):
+        with pytest.raises(ConfigError):
+            load_synth_config(overrides=[text])

@@ -1,14 +1,21 @@
 """Fuzzed inputs through the CLI: a truncated or byte-flipped checkpoint, WAV
 or manifest must end in exit 0 or 2, never in a traceback.  Mutations are
 seeded; half truncate the file at a random length, half flip one to three
-bytes, mostly inside the file's structured head."""
+bytes, mostly inside the file's structured head.  A sweep sets every config
+field to odd values, through ``--set`` and through checkpoint metadata."""
 
+import contextlib
+import copy
+import dataclasses
+import io
 import shutil
 
 import numpy as np
 import pytest
 
+from dereverb.checkpoint import load_checkpoint, save_checkpoint
 from dereverb.cli import main
+from dereverb.datasynth import SynthConfig
 from dereverb.errors import DereverbError
 from dereverb.model import DccrnModel, ModelConfig
 
@@ -111,3 +118,77 @@ def test_damaged_manifest(good, tmp_path):
         argv += ["--set", ov]
     data = (good / "data" / "manifest.csv").read_bytes()
     assert run_fuzz(manifest, mutations(data, 4, len(data)), argv) == []
+
+
+# each odd config value as config text and as the JSON value it spells
+ODD_VALUES = [("-1", -1), ("0", 0), ("3", 3), ("1,2,3", [1, 2, 3]), ("nan", float("nan")),
+              ("inf", float("inf")), ("x", "x"), ("", ""), ("none", None), ("true", True)]
+
+
+def odd_values(field, seed):
+    """``ODD_VALUES`` plus two seeded draws, an int in [3, 10) and an int pair; all
+    small enough that no run builds a large model.  (Synth rates 1 and 2 once hung,
+    so ``test_cli`` runs them in a subprocess with a timeout.)"""
+    rng = np.random.default_rng([seed, sum(map(ord, field))])
+    k, pair = int(rng.integers(3, 10)), [int(v) for v in rng.integers(-1, 5, size=2)]
+    return [*ODD_VALUES, (str(k), k), (",".join(map(str, pair)), pair)]
+
+
+def run_cli(argv):
+    """Exit code and stderr lines of ``main(argv)``; the outcome violates the
+    contract (returned as a string) unless it is exit 0, or exit 2 or 3 with
+    one error line after any warnings.  A DereverbError may escape."""
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(argv)
+    except DereverbError:
+        return None
+    except Exception as exc:  # noqa: BLE001 - any other escape is the finding
+        return f"{type(exc).__name__}: {exc}"
+    lines = err.getvalue().splitlines()
+    if rc == 0:
+        return None
+    errors = [ln for ln in lines if not ln.startswith("warning: ")]
+    one_line = len(errors) == 1 and errors[0].startswith(("error: ", "numerical failure: "))
+    return None if rc in (2, 3) and one_line else f"exit {rc}: {lines}"
+
+
+def test_config_sweep_through_set(good, tmp_path):
+    manifest = good / "data" / "one.csv"
+    manifest.write_text("".join((good / "data" / "manifest.csv").read_text().splitlines(True)[:2]))
+    broken = []
+    for f in dataclasses.fields(ModelConfig):
+        for text, _ in odd_values(f.name, 11):
+            argv = ["train", "--data", str(manifest), "--out", str(tmp_path / "run")]
+            for ov in [*MODEL_OVERRIDES, "epochs=0", f"{f.name}={text}"]:
+                argv += ["--set", ov]
+            outcome = run_cli(argv)
+            if outcome is not None:
+                broken.append(f"train --set {f.name}={text}: {outcome}")
+    for f in dataclasses.fields(SynthConfig):
+        for text, _ in odd_values(f.name, 12):
+            argv = ["synth", "--n", "1", "--seed", "5", "--out", str(tmp_path / "synth")]
+            for ov in [*SYNTH_OVERRIDES, f"{f.name}={text}"]:
+                argv += ["--set", ov]
+            outcome = run_cli(argv)
+            if outcome is not None:
+                broken.append(f"synth --set {f.name}={text}: {outcome}")
+    assert broken == []
+
+
+def test_config_sweep_through_checkpoint(good, tmp_path):
+    arrays, meta = load_checkpoint(good / "model.ckpt")
+    ckpt = tmp_path / "odd.ckpt"
+    argv = ["enhance", "--ckpt", str(ckpt), "--in", str(good / "data" / "reverb_0000.wav"),
+            "--out", str(tmp_path / "out.wav")]
+    broken = []
+    for f in dataclasses.fields(ModelConfig):
+        for _, value in odd_values(f.name, 13):
+            odd = copy.deepcopy(meta)
+            odd["model_config"][f.name] = value
+            save_checkpoint(ckpt, arrays, odd)
+            outcome = run_cli(argv)
+            if outcome is not None:
+                broken.append(f"{f.name}={value!r}: {outcome}")
+    assert broken == []

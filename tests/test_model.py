@@ -300,6 +300,21 @@ class TestDccrnForward:
         with pytest.raises(ConfigError):
             ModelConfig(loss_beta=1.5).validate()
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("kernel", (3,)), ("kernel", (0, 3)), ("stride", (1, 2, 3)), ("stride", (0, 2)),
+         ("padding", (1, 1, 1)), ("padding", (-1, 1)), ("gru_layers", 0), ("seed", -1),
+         ("learning_rate", -1.0), ("learning_rate", float("nan")),
+         ("learning_rate", float("inf")), ("compress_exponent", float("inf")),
+         ("checkpoint_every", -1), ("sample_rate", 0)],
+    )
+    def test_out_of_range_value_rejected(self, field, value):
+        with pytest.raises((ConfigError, ContractError), match=field):
+            ModelConfig(**{field: value}).validate()
+
+    def test_range_edges_accepted(self):
+        ModelConfig(learning_rate=0.0, checkpoint_every=0, padding=(0, 0), seed=0).validate()
+
 
 def _make_dataset(tmp_path, n_pairs=2, seed=5):
     cfg = SynthConfig(sample_rate=500, duration_s=0.6, t60_min=0.1, t60_max=0.2)
