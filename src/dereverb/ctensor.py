@@ -267,18 +267,9 @@ def sub(a, b):
 
 
 def scale(a, c):
-    """Multiply by a python scalar (real or complex)."""
-    cr = a.real.dtype.type(np.real(c))
-    ci = a.real.dtype.type(np.imag(c))
-    if ci == 0:
-        out_r = cr * a.real
-        out_i = cr * a.imag
-        vjp = lambda gr, gi: (cr * gr, cr * gi)
-    else:
-        out_r = cr * a.real - ci * a.imag
-        out_i = cr * a.imag + ci * a.real
-        vjp = lambda gr, gi: (cr * gr + ci * gi, -ci * gr + cr * gi)
-    return _emit("scale", out_r, out_i, [(a, vjp)])
+    """Multiply by a real python scalar."""
+    c = a.real.dtype.type(c)
+    return _emit("scale", c * a.real, c * a.imag, [(a, lambda gr, gi: (c * gr, c * gi))])
 
 
 def cmul(a, b):
@@ -301,10 +292,6 @@ def cmul(a, b):
         )
 
     return _emit("cmul", out_r, out_i, [(a, vjp_a), (b, vjp_b)])
-
-
-def conj(a):
-    return _emit("conj", a.real, -a.imag, [(a, lambda gr, gi: (gr, -gi))])
 
 
 def crelu(a):
@@ -563,16 +550,6 @@ def concat(tensors, axis):
 # ---------------------------------------------------------------------------
 # reductions
 # ---------------------------------------------------------------------------
-
-
-def sum_all(a):
-    """Sum of all elements (complex scalar, rank-0)."""
-    shape = a.shape
-
-    def vjp(gr, gi):
-        return (np.broadcast_to(gr, shape).copy(), np.broadcast_to(gi, shape).copy())
-
-    return _emit("sum_all", np.asarray(a.real.sum()), np.asarray(a.imag.sum()), [(a, vjp)])
 
 
 def sum_abs2(a):

@@ -203,6 +203,8 @@ def generate_dataset(n_pairs, seed, out_dir, cfg: SynthConfig | None = None):
     Returns the manifest path.
     """
     cfg = (cfg or SynthConfig()).validate()
+    if n_pairs < 1:
+        raise ContractError(f"number of pairs must be >= 1, got {n_pairs}")
     if seed < 0:
         raise ContractError(f"seed must be >= 0, got {seed}")
     out = Path(out_dir)

@@ -228,62 +228,15 @@ def complex_conv_transpose2d(x, w, stride, padding, output_spatial):
     rows = _input_adjoint(xr, xi, blk, s, p, (t_out, f_out))
     yr, yi = _parts(rows, x.shape[:-3] + (t_out, f_out, c_out))
     in_shape, padded = x.shape, (t_out + 2 * p[0], f_out + 2 * p[1])
-    # vjp_x runs first and, when vjp_w is recorded too, hands it its patches
-    shared, share = [], w.node_id is not None
 
-    def grad_cols(gr, gi):
-        return _im2col(_as_batch(gr), _as_batch(gi), k, s, p, (1, 1), padded)[0]
+    def grads(gr, gi):
+        """Gradients of x and w from one im2col of the output gradient."""
+        cols = _im2col(_as_batch(gr), _as_batch(gi), k, s, p, (1, 1), padded)[0]
+        ga, gb_conj = _kernel_grad(cols, xr, xi, k)
+        return [_parts(cols @ blk.reshape(cols.shape[1], -1), in_shape), (ga, -gb_conj)]
 
-    def vjp_x(gr, gi):
-        cols = grad_cols(gr, gi)
-        if share:
-            shared.append(cols)
-        return _parts(cols @ blk.reshape(cols.shape[1], -1), in_shape)
-
-    def vjp_w(gr, gi):
-        ga, gb_conj = _kernel_grad(shared.pop() if shared else grad_cols(gr, gi), xr, xi, k)
-        return ga, -gb_conj
-
-    return _emit("complex_conv_transpose2d", yr, yi, [(x, vjp_x), (w, vjp_w)])
-
-
-class ComplexConv2d:
-    """Complex conv layer owning a unitary-initialized kernel (no bias)."""
-
-    def __init__(self, in_cc, out_cc, kernel, stride=1, padding=0, *, rng, dtype=np.float64):
-        kt, kf = _pair(kernel)
-        wr, wi = unitary_init((out_cc, in_cc, kt, kf), rng, dtype=dtype)
-        self.weight = ComplexTensor(wr, wi)
-        self.stride = _pair(stride)
-        self.padding = _pair(padding)
-
-    def __call__(self, x):
-        return complex_conv2d(x, self.weight, self.stride, self.padding)
-
-    def parameters(self):
-        return [("w", self.weight)]
-
-
-class ComplexConvTranspose2d:
-    """Transposed complex conv layer; output spatial dims fixed at build time."""
-
-    def __init__(
-        self, in_cc, out_cc, kernel, stride, padding, output_spatial, *, rng, dtype=np.float64
-    ):
-        kt, kf = _pair(kernel)
-        wr, wi = unitary_init((in_cc, out_cc, kt, kf), rng, dtype=dtype)
-        self.weight = ComplexTensor(wr, wi)
-        self.stride = _pair(stride)
-        self.padding = _pair(padding)
-        self.output_spatial = (int(output_spatial[0]), int(output_spatial[1]))
-
-    def __call__(self, x):
-        return complex_conv_transpose2d(
-            x, self.weight, self.stride, self.padding, self.output_spatial
-        )
-
-    def parameters(self):
-        return [("w", self.weight)]
+    srcs = list(zip((x, w), _shared_vjps(grads, 2)))
+    return _emit("complex_conv_transpose2d", yr, yi, srcs)
 
 
 # ---------------------------------------------------------------------------

@@ -19,21 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from . import ctensor as ct
+from . import layers
 from .attention import TFAttentionBlock, count_parameters
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import build_config
 from .ctensor import ComplexTensor, GradTape
 from .datasynth import read_manifest
 from .errors import ConfigError, ContractError, DataError, ShapeError, TrainingError
-from .layers import (
-    ComplexBatchNorm,
-    ComplexConv2d,
-    ComplexConvTranspose2d,
-    ComplexGruCell,
-    _conv_out_dim,
-    complex_conv2d,
-    unitary_init,
-)
+from .layers import ComplexBatchNorm, ComplexGruCell, _conv_out_dim, complex_conv2d, unitary_init
 from .signal import (
     SignalConfig,
     WaveForm,
@@ -163,42 +156,46 @@ class ModelConfig:
 class _UNetBlock:
     """Shared encoder/decoder block: CReLU -> conv -> attention -> dense -> BN."""
 
-    def __init__(self, in_cc, out_cc, spatial_in, spatial_out, cfg, rng, *, transpose):
-        kt, kf = cfg.kernel
-        st, sf = cfg.stride
-        pt, pf = cfg.padding
+    def __init__(self, in_cc, out_cc, spatial_out, cfg, rng, *, transpose):
         dtype = cfg.np_dtype
-        if transpose:
-            self.conv = ComplexConvTranspose2d(
-                in_cc, out_cc, (kt, kf), (st, sf), (pt, pf), spatial_out, rng=rng, dtype=dtype
-            )
-        else:
-            self.conv = ComplexConv2d(
-                in_cc, out_cc, (kt, kf), (st, sf), (pt, pf), rng=rng, dtype=dtype
-            )
+
+        def kernel(shape):
+            return ComplexTensor(*unitary_init(shape, rng, dtype=dtype))
+
+        self.stride, self.padding = cfg.stride, cfg.padding
+        # a transposed conv's kernel is [C_in, C_out, kt, kf] and its output
+        # size is fixed here; a conv's is [C_out, C_in, kt, kf]
+        self.output_spatial = spatial_out if transpose else None
+        kt, kf = cfg.kernel
+        self.conv_w = kernel((in_cc, out_cc, kt, kf) if transpose else (out_cc, in_cc, kt, kf))
         self.attn = None
         if cfg.attention != "none":
             self.attn = TFAttentionBlock(
                 cfg.attention, out_cc, spatial_out[0], spatial_out[1], rng=rng, dtype=dtype
             )
-        self.dense1 = ComplexConv2d(out_cc, out_cc, (3, 3), 1, 1, rng=rng, dtype=dtype)
-        self.dense2 = ComplexConv2d(2 * out_cc, out_cc, (3, 3), 1, 1, rng=rng, dtype=dtype)
+        self.dense1_w = kernel((out_cc, out_cc, 3, 3))
+        self.dense2_w = kernel((out_cc, 2 * out_cc, 3, 3))
         self.bn = ComplexBatchNorm(out_cc, dtype=dtype)
 
     def __call__(self, x, training):
         h = ct.crelu(x)
-        h = self.conv(h)
+        if self.output_spatial is None:
+            h = complex_conv2d(h, self.conv_w, self.stride, self.padding)
+        else:
+            h = layers.complex_conv_transpose2d(
+                h, self.conv_w, self.stride, self.padding, self.output_spatial
+            )
         if self.attn is not None:
             h = self.attn(h)
-        d = ct.crelu(self.dense1(h))
-        h = self.dense2(ct.concat([h, d], axis=-1))
+        d = ct.crelu(complex_conv2d(h, self.dense1_w, 1, 1))
+        h = complex_conv2d(ct.concat([h, d], axis=-1), self.dense2_w, 1, 1)
         return self.bn(h, training)
 
     def parameters(self):
-        out = [("conv.w", self.conv.weight)]
+        out = [("conv.w", self.conv_w)]
         if self.attn is not None:
             out += [(f"attn.{n}", p) for n, p in self.attn.parameters()]
-        out += [("dense1.w", self.dense1.weight), ("dense2.w", self.dense2.weight)]
+        out += [("dense1.w", self.dense1_w), ("dense2.w", self.dense2_w)]
         out += [(f"bn.{n}", p) for n, p in self.bn.parameters()]
         return out
 
@@ -236,7 +233,7 @@ class DccrnModel:
         self.dims = dims
 
         self.encoder = [
-            _UNetBlock(in_cc[i], enc_cc[i], dims[i], dims[i + 1], cfg, rng, transpose=False)
+            _UNetBlock(in_cc[i], enc_cc[i], dims[i + 1], cfg, rng, transpose=False)
             for i in range(n)
         ]
 
@@ -262,13 +259,7 @@ class DccrnModel:
         for j in range(n):
             mirror = n - 1 - j
             block = _UNetBlock(
-                prev_cc + enc_cc[mirror],
-                dec_out_cc[j],
-                dims[mirror + 1],
-                dims[mirror],
-                cfg,
-                rng,
-                transpose=True,
+                prev_cc + enc_cc[mirror], dec_out_cc[j], dims[mirror], cfg, rng, transpose=True
             )
             self.decoder.append(block)
             prev_cc = dec_out_cc[j]
@@ -447,31 +438,39 @@ def _image_tensors(images, dtype):
     )
 
 
-def load_training_images(manifest_path, cfg: ModelConfig, log=None):
-    """Manifest -> aligned (input, target) spectral image lists.
+def _spectral_front_end(wf: WaveForm, cfg: ModelConfig):
+    """The STFT of ``wf`` and its spectral images: (spec_x, images_in, images_x).
 
-    Corrupt pairs are skipped with a warning; an empty result raises.
-    When PSD smoothing is enabled it shapes the network INPUT only; the
-    masking target stays the raw reverberant spectrum.
+    ``images_in`` feed the network and ``images_x`` are the ones the mask
+    multiplies.  PSD smoothing, when enabled, shapes the network input only;
+    without it ``images_in`` is ``images_x``.
     """
-    sig_cfg = cfg.signal_config()
+    spec_x = stft(wf, cfg.signal_config())
+    images_x = make_spectral_images(spec_x, cfg.image_frames)
+    if cfg.psd_smoothing_alpha is None:
+        return spec_x, images_x, images_x
+    smoothed = psd_smooth(spec_x, cfg.psd_smoothing_alpha)
+    return spec_x, make_spectral_images(smoothed, cfg.image_frames), images_x
+
+
+def load_training_images(manifest_path, cfg: ModelConfig, log=None):
+    """Manifest -> aligned (input, raw reverberant, target) spectral image lists.
+
+    Corrupt pairs are skipped with a warning; if every pair is skipped a
+    DataError names the first skip reason.  Without PSD smoothing ``inputs``
+    and ``raws`` hold the same image objects.
+    """
     rows = read_manifest(manifest_path)
     inputs, raws, targets = [], [], []
-    skipped = 0
+    reasons = []
     for row in rows:
         try:
             clean = read_wav(row["clean_path"], expected_rate=cfg.sample_rate)
             reverb = read_wav(row["reverb_path"], expected_rate=cfg.sample_rate)
-            spec_x = stft(reverb, sig_cfg)
-            spec_s = stft(clean, sig_cfg)
-            net_in = spec_x
-            if cfg.psd_smoothing_alpha is not None:
-                net_in = psd_smooth(spec_x, cfg.psd_smoothing_alpha)
-            img_in = make_spectral_images(net_in, cfg.image_frames)
-            img_x = make_spectral_images(spec_x, cfg.image_frames)
-            img_s = make_spectral_images(spec_s, cfg.image_frames)
+            _, img_in, img_x = _spectral_front_end(reverb, cfg)
+            img_s = make_spectral_images(stft(clean, cfg.signal_config()), cfg.image_frames)
         except (OSError, DataError, ContractError, ShapeError) as exc:
-            skipped += 1
+            reasons.append(str(exc))
             if log is not None:
                 log(f"warning: skipping pair {row['clean_path']}: {exc}")
             continue
@@ -479,8 +478,10 @@ def load_training_images(manifest_path, cfg: ModelConfig, log=None):
         raws.extend(img_x)
         targets.extend(img_s)
     if not inputs:
-        raise TrainingError(f"no usable pairs in {manifest_path} ({skipped} skipped)")
-    return inputs, raws, targets, skipped
+        raise DataError(
+            f"no usable pairs in {manifest_path} ({len(reasons)} skipped; first: {reasons[0]})"
+        )
+    return inputs, raws, targets, len(reasons)
 
 
 def train(model: DccrnModel, manifest_path, out_dir, log=None):
@@ -556,14 +557,7 @@ def enhance_waveform(model: DccrnModel, wf: WaveForm) -> WaveForm:
         raise ContractError(
             f"model expects {cfg.sample_rate} Hz audio, got {wf.sample_rate} Hz"
         )
-    sig_cfg = cfg.signal_config()
-    spec_x = stft(wf, sig_cfg)
-    net_spec = spec_x
-    if cfg.psd_smoothing_alpha is not None:
-        net_spec = psd_smooth(spec_x, cfg.psd_smoothing_alpha)
-    images_in = make_spectral_images(net_spec, cfg.image_frames)
-    images_x = make_spectral_images(spec_x, cfg.image_frames)
-
+    spec_x, images_in, images_x = _spectral_front_end(wf, cfg)
     dtype = cfg.np_dtype
     masked = []
     for lo in range(0, len(images_in), cfg.batch_size):
@@ -584,8 +578,6 @@ def enhance_with_identity_mask(wf: WaveForm, cfg: ModelConfig) -> WaveForm:
 
     Isolates the pipeline's own loss (spectral-image Nyquist-bin zeroing).
     """
-    sig_cfg = cfg.signal_config()
-    spec_x = stft(wf, sig_cfg)
-    images = make_spectral_images(spec_x, cfg.image_frames)
+    spec_x, _, images = _spectral_front_end(wf, cfg)
     spec_hat = reassemble_spectral_images(images, spec_x)
     return istft(spec_hat, length=len(wf))

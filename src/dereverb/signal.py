@@ -1,4 +1,4 @@
-"""STFT analysis/synthesis, spectral-image batching, masking, compression.
+"""STFT analysis/synthesis, spectral-image batching, masking, PSD smoothing, WAV I/O.
 
 Default framing: 32 ms Hann frames with 75% overlap (hop = frame/4) and
 fft_size equal to the frame length.  "Spectral images" are fixed-size tiles
@@ -201,17 +201,6 @@ def apply_mask(mask: Spectrogram, x: Spectrogram) -> Spectrogram:
             f"mask shape {mask.data.shape} does not match input {x.data.shape}"
         )
     return replace(x, data=mask.data * x.data)
-
-
-def compress_magnitude(spec: Spectrogram, c: float) -> Spectrogram:
-    """Dynamic range compression |S|^c * exp(j*arg(S)); zero maps to zero."""
-    if not c > 0:
-        raise ContractError(f"compression exponent must be > 0, got {c}")
-    if c == 1.0:
-        return replace(spec, data=spec.data.copy())
-    m = np.abs(spec.data)
-    unit = np.divide(spec.data, m, out=np.zeros_like(spec.data), where=m > 0)
-    return replace(spec, data=np.power(m, c) * unit)
 
 
 def psd_smooth(spec: Spectrogram, alpha: float) -> Spectrogram:

@@ -1,4 +1,4 @@
-"""Tape ops that only the reference chains in the tests use, one node each
+"""Tape ops that only the tests use, one node each
 as they were in ``dereverb.ctensor``."""
 
 import numpy as np
@@ -25,3 +25,18 @@ def stack(tensors, axis):
     pick = lambda sl: (lambda gr, gi: (gr[sl], gi[sl]))
     srcs = [(t, pick((slice(None),) * axis + (k,))) for k, t in enumerate(tensors)]
     return ct._emit("stack", *parts, srcs)
+
+
+def conj(a):
+    """Complex conjugate."""
+    return ct._emit("conj", a.real, -a.imag, [(a, lambda gr, gi: (gr, -gi))])
+
+
+def sum_all(a):
+    """Sum of all elements (complex scalar, rank-0)."""
+    shape = a.shape
+
+    def vjp(gr, gi):
+        return (np.broadcast_to(gr, shape).copy(), np.broadcast_to(gi, shape).copy())
+
+    return ct._emit("sum_all", np.asarray(a.real.sum()), np.asarray(a.imag.sum()), [(a, vjp)])

@@ -90,6 +90,14 @@ class TestSynth:
         err = capsys.readouterr().err
         assert "seed" in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_fewer_than_one_pair_exits_2_without_manifest(self, tmp_path, capsys, n):
+        assert main(synth_args(tmp_path / "d", n=n)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: number of pairs must be >= 1, got {n}\n"
+        assert not (tmp_path / "d" / "manifest.csv").exists()
+
     @pytest.mark.parametrize("rate", [1, 2])
     def test_rate_below_one_sample_per_segment_exits_2(self, tmp_path, rate):
         src = Path(dereverb.__file__).resolve().parents[1]
@@ -165,6 +173,20 @@ class TestTrain:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert setting.split("=")[0] in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "run" / "final.ckpt").exists()
+
+    def test_every_pair_skipped_is_data_error(self, tmp_path, capsys):
+        # the WAVs are at 500 Hz; a model at 3 Hz can use none of them
+        assert main(synth_args(tmp_path / "data", n=1)) == 0
+        args = ["train", "--data", str(tmp_path / "data" / "manifest.csv"),
+                "--out", str(tmp_path / "run")]
+        for ov in TINY_MODEL_OVERRIDES + ["sample_rate=3"]:
+            args += ["--set", ov]
+        capsys.readouterr()
+        assert main(args) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert [line.split(":")[0] for line in lines] == ["warning", "error"]
+        assert "no usable pairs" in lines[1] and "sample rate 500 Hz" in lines[1]
         assert not (tmp_path / "run" / "final.ckpt").exists()
 
     def test_run_record_and_checkpoint_hold_the_config(self, tmp_path):

@@ -15,7 +15,7 @@ from dereverb.gradcheck import (
     finite_difference_gradients,
     max_relative_error,
 )
-from taped_ops import index_axis, stack
+from taped_ops import index_axis, stack, sum_all
 
 
 def rand_ct(rng, *shape, away_from_zero=False):
@@ -288,7 +288,7 @@ def inner(a, b):
 
 def inner_loss(y, probe):
     """<y, probe> as a real scalar tensor: its gradient wrt y is ``probe``."""
-    s = ct.sum_all(mul_split(y, probe))
+    s = sum_all(mul_split(y, probe))
     return ct.add(real_part(s), imag_part(s))
 
 
@@ -363,6 +363,20 @@ class TestConvGeometry:
         scale = np.abs(up.to_complex()).max()
         np.testing.assert_allclose(up.real, vjp_x[0], atol=self._rtol(dtype) * scale)
         np.testing.assert_allclose(up.imag, vjp_x[1], atol=self._rtol(dtype) * scale)
+
+    @pytest.mark.parametrize("geometry,rank,dtype", GEOMETRY_CASES)
+    def test_transpose_gradients_alone_equal_gradients_together(self, geometry, rank, dtype):
+        # both vjps come from one memoised im2col; each input still gets the
+        # gradient it gets when it is the only one taped
+        rng, x, w, s, p = self._case(geometry, rank, dtype, 65)
+        z = rand_typed(rng, ly.complex_conv2d(x, w, s, p).shape, dtype)
+        probe = rand_typed(rng, x.shape, dtype)
+        build = lambda: inner_loss(ly.complex_conv_transpose2d(z, w, s, p, x.shape[-3:-1]), probe)
+        together = analytic_gradients(build, [z, w])
+        alone = analytic_gradients(build, [z]) + analytic_gradients(build, [w])
+        for got, want in zip(together, alone):
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
 
     @pytest.mark.parametrize(
         "geometry,rank", [(g, r) for g in CONV_GEOMETRIES for r in (3, 4)]
@@ -565,7 +579,7 @@ class TestComplexBatchNorm:
         for call, ps in ((bn, params), (lambda t, m: taped_batchnorm(ref, t, m), ref_params)):
             outs.append(call(x, training))
             # crelu's mask gives the output gradient exact zeros of both signs
-            loss = lambda: ct.sum_all(real_part(ct.cmul(ct.crelu(call(x, training)), probe)))
+            loss = lambda: sum_all(real_part(ct.cmul(ct.crelu(call(x, training)), probe)))
             grads.append(analytic_gradients(loss, ps))
         assert outs[0].dtype == outs[1].dtype == dtype
         np.testing.assert_array_equal(outs[0].real, outs[1].real)
@@ -762,7 +776,7 @@ class TestComplexGru:
         params = [p for name, p in named if taped == "all" or name.startswith("u_")]
 
         def loss(run):
-            return lambda: ct.sum_all(real_part(ct.cmul(run(x), w)))
+            return lambda: sum_all(real_part(ct.cmul(run(x), w)))
 
         got = analytic_gradients(loss(cell.run), params)
         want = analytic_gradients(loss(lambda s: taped_gru_run(cell, s)), params)
@@ -784,7 +798,7 @@ class TestComplexGru:
         for run in (cell.run, lambda s: taped_gru_run(cell, s)):
             outs.append(run(x))
             grads.append(
-                analytic_gradients(lambda: ct.sum_all(real_part(ct.cmul(run(x), w))), params)
+                analytic_gradients(lambda: sum_all(real_part(ct.cmul(run(x), w))), params)
             )
         assert outs[0].dtype == outs[1].dtype == dtype
         np.testing.assert_array_equal(outs[0].real, outs[1].real)

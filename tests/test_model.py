@@ -6,7 +6,7 @@ import pytest
 from dereverb import ctensor as ct
 from dereverb.ctensor import ComplexTensor
 from dereverb.datasynth import SynthConfig, generate_dataset
-from dereverb.errors import ConfigError, ContractError, ShapeError, TrainingError
+from dereverb.errors import ConfigError, ContractError, DataError, ShapeError, TrainingError
 from dereverb.gradcheck import (
     analytic_gradients,
     finite_difference_gradients,
@@ -19,6 +19,7 @@ from dereverb.model import (
     complex_loss,
     enhance_waveform,
     enhance_with_identity_mask,
+    load_training_images,
     train,
 )
 from dereverb.signal import WaveForm, istft, stft
@@ -361,9 +362,32 @@ class TestTraining:
         cfg = tiny_config(epochs=1)
         model = DccrnModel(cfg)
         messages = []
-        with pytest.raises(TrainingError):
+        with pytest.raises(DataError, match="2 skipped; first: .*clean_0000.wav.*not a readable"):
             train(model, manifest, tmp_path / "run", log=messages.append)
-        assert any("skipping" in m for m in messages)
+        assert sum("skipping" in m for m in messages) == 2
+
+
+class TestSpectralFrontEnd:
+    """PSD smoothing shapes the network input only."""
+
+    def test_smoothing_changes_inputs_not_raws(self, tmp_path):
+        manifest = _make_dataset(tmp_path / "data", n_pairs=2)
+        plain = load_training_images(manifest, tiny_config())
+        smoothed = load_training_images(manifest, tiny_config(psd_smoothing_alpha=0.5))
+        assert all(a is b for a, b in zip(plain[0], plain[1]))
+        for got, want in ((smoothed[1], plain[1]), (smoothed[2], plain[2])):
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g.data, w.data)
+        assert len(smoothed[0]) == len(plain[0])
+        assert any(not np.array_equal(g.data, w.data) for g, w in zip(smoothed[0], plain[0]))
+
+    def test_identity_mask_ignores_smoothing(self):
+        rng = np.random.default_rng(126)
+        wf = WaveForm(rng.standard_normal(600) * 0.2, 500)
+        plain = enhance_with_identity_mask(wf, tiny_config())
+        smoothed = enhance_with_identity_mask(wf, tiny_config(psd_smoothing_alpha=0.5))
+        np.testing.assert_array_equal(smoothed.samples, plain.samples)
 
 
 class TestEnhance:

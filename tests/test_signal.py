@@ -1,4 +1,4 @@
-"""STFT framing, spectral images, masking, compression, smoothing, WAV I/O."""
+"""STFT framing, spectral images, masking, smoothing, WAV I/O."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from dereverb.signal import (
     Spectrogram,
     WaveForm,
     apply_mask,
-    compress_magnitude,
     hann_window,
     istft,
     make_spectral_images,
@@ -206,44 +205,6 @@ class TestApplyMask:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             apply_mask(self._spec(np.ones((2, 2))), self._spec(np.ones((3, 2))))
-
-
-class TestCompressMagnitude:
-    def _spec(self, data):
-        return Spectrogram(np.asarray(data, dtype=np.complex128), 128, 32, 4000, 128)
-
-    def test_sqrt_compression(self):
-        out = compress_magnitude(self._spec([[4.0 * np.exp(0.7j)]]), 0.5)
-        assert abs(abs(out.data[0, 0]) - 2.0) < 1e-12
-        assert abs(np.angle(out.data[0, 0]) - 0.7) < 1e-12
-
-    def test_identity_exponent(self):
-        rng = np.random.default_rng(90)
-        spec = self._spec(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-        np.testing.assert_array_equal(compress_magnitude(spec, 1.0).data, spec.data)
-
-    def test_matches_polar_oracle(self):
-        rng = np.random.default_rng(91)
-        spec = self._spec(rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4)))
-        got = compress_magnitude(spec, 0.3).data
-        for t in range(5):
-            for f in range(4):
-                z = spec.data[t, f]
-                want = np.abs(z) ** 0.3 * np.exp(1j * np.angle(z))
-                assert abs(got[t, f] - want) <= 1e-12
-
-    def test_zero_maps_to_zero_and_phase_preserved(self):
-        rng = np.random.default_rng(92)
-        data = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        data[1, 2] = 0
-        out = compress_magnitude(self._spec(data), 0.3).data
-        assert out[1, 2] == 0
-        nz = data != 0
-        np.testing.assert_allclose(np.angle(out[nz]), np.angle(data[nz]), atol=1e-12)
-
-    def test_nonpositive_exponent_rejected(self):
-        with pytest.raises(ContractError):
-            compress_magnitude(self._spec(np.ones((2, 2))), 0.0)
 
 
 class TestPsdSmooth:
