@@ -105,7 +105,6 @@ def _cmd_synth(args, argv):
 def _cmd_train(args, argv):
     cfg = load_model_config(args.config, args.overrides)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     model = DccrnModel(cfg)
     final, rows = train(model, args.data, out, log=lambda m: print(m, file=sys.stderr))
     _write_run_record(
@@ -131,8 +130,7 @@ def _cmd_enhance(args, argv):
     if peak > 1.0:
         enhanced.samples = enhanced.samples * (0.99 / peak)
     out = Path(args.out)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     write_wav(out, enhanced)
     _write_run_record(
         out.with_name(out.name + ".run.json"),
@@ -152,8 +150,7 @@ def _cmd_enhance(args, argv):
 def _cmd_eval(args, argv):
     report = evaluate_dirs(args.ref_dir, args.test_dir)
     out = Path(args.out)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     report.write_csv(out)
     mc, ml, mf = report.means()
     _write_run_record(

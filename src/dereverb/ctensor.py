@@ -24,7 +24,7 @@ class ComplexTensor:
 
     __slots__ = ("real", "imag", "tape", "node_id")
 
-    def __init__(self, real, imag=None, tape=None, node_id=None):
+    def __init__(self, real, imag=None):
         if not isinstance(real, np.ndarray):
             real = np.asarray(real)
         if real.dtype.kind != "f":
@@ -42,8 +42,8 @@ class ComplexTensor:
             )
         self.real = real
         self.imag = imag
-        self.tape = tape
-        self.node_id = node_id
+        self.tape = None
+        self.node_id = None
 
     @classmethod
     def from_complex(cls, z):
@@ -91,7 +91,9 @@ class GradTape:
 
     Nodes are stored in execution order, which is a topological order by
     construction (eager recording).  ``backward`` walks the record once in
-    reverse and returns a map from node id to the (real, imag) gradient pair.
+    reverse and returns a map from leaf node id to the (real, imag) gradient
+    pair.  :func:`gradients` runs the whole lifecycle: watch, forward,
+    backward, detach.
     """
 
     def __init__(self):
@@ -107,18 +109,19 @@ class GradTape:
         self.nodes.append(TapeNode(op, tuple(inputs), tuple(vjps)))
         return len(self.nodes) - 1
 
-    def watch(self, tensor, op="leaf"):
+    def watch(self, tensor):
         """Attach ``tensor`` to this tape as a leaf (trainable) node."""
         tensor.tape = self
-        tensor.node_id = self.record(op, (), ())
+        tensor.node_id = self.record("leaf", (), ())
         return tensor
 
     def backward(self, loss):
-        """Accumulate d(loss)/d(node) for every node reachable from ``loss``.
+        """Accumulate d(loss)/d(leaf) for every watched leaf reachable from ``loss``.
 
         ``loss`` must be a real scalar recorded on this tape.  Returns a dict
-        mapping node id to an ``(grad_real, grad_imag)`` pair with the same
-        shapes as that node's output parts.  The tape is consumed: each node
+        mapping a leaf's node id to an ``(grad_real, grad_imag)`` pair with
+        the same shapes as that leaf's parts; an intermediate node's gradient
+        is dropped once its vjps have run.  The tape is consumed: each node
         is released once walked, and the tape is empty afterwards.
         """
         if loss.tape is not self or loss.node_id is None:
@@ -141,7 +144,9 @@ class GradTape:
         nodes, self.nodes = self.nodes, []
         for nid in range(loss.node_id, -1, -1):
             node, nodes[nid] = nodes[nid], None
-            entry = grads.get(nid)
+            if not node.inputs:
+                continue  # a leaf: its gradient is handed back
+            entry = grads.pop(nid, None)
             if entry is None:
                 continue
             for inp_id, vjp in zip(node.inputs, node.vjps):
@@ -157,6 +162,27 @@ class GradTape:
                     acc[1] = acc[1] + gi
                     acc[2] = True
         return {nid: (g[0], g[1]) for nid, g in grads.items()}
+
+
+def gradients(build_loss, tensors):
+    """``(loss, grads)`` of one reverse-mode pass, ``grads`` aligned with ``tensors``.
+
+    The tensors are watched on a fresh tape while ``build_loss()`` returns the
+    real scalar loss; a tensor the loss does not reach gets zeros.  Every
+    tensor is detached afterwards, also when ``build_loss`` raises (backward
+    then does not run).
+    """
+    tape = GradTape()
+    try:
+        for t in tensors:
+            tape.watch(t)
+        loss = build_loss()
+        grads = tape.backward(loss)
+        zeros = lambda t: (np.zeros_like(t.real), np.zeros_like(t.imag))
+        return loss, [grads.get(t.node_id) or zeros(t) for t in tensors]
+    finally:
+        for t in tensors:
+            t.tape = t.node_id = None
 
 
 # ---------------------------------------------------------------------------

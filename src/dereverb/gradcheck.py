@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from .ctensor import GradTape
+from .ctensor import gradients
 
 
 def finite_difference_gradients(loss_fn, tensors, eps=1e-5):
@@ -36,29 +36,6 @@ def finite_difference_gradients(loss_fn, tensors, eps=1e-5):
                 part[idx] = saved
                 g[idx] = (lp - lm) / (2.0 * eps)
         out.append((gr, gi))
-    return out
-
-
-def analytic_gradients(build_loss, tensors):
-    """One reverse-mode pass; returns gradients aligned with ``tensors``.
-
-    ``build_loss`` runs the forward pass and returns the scalar loss tensor;
-    the parameters are watched on a fresh tape for the duration of the call
-    and detached afterwards.
-    """
-    tape = GradTape()
-    for t in tensors:
-        tape.watch(t)
-    loss = build_loss()
-    grads = tape.backward(loss)
-    out = []
-    for t in tensors:
-        pair = grads.get(t.node_id)
-        if pair is None:
-            pair = (np.zeros_like(t.real), np.zeros_like(t.imag))
-        out.append(pair)
-        t.tape = None
-        t.node_id = None
     return out
 
 
@@ -86,7 +63,7 @@ def check_gradients(make_scenario, eps=1e-5):
     values.  Returns the max relative error.
     """
     loss_fn, tensors = make_scenario()
-    analytic = analytic_gradients(loss_fn, tensors)
+    _, analytic = gradients(loss_fn, tensors)
 
     def numeric_loss():
         return float(loss_fn().real)

@@ -50,17 +50,8 @@ def unitary_init(shape, rng, dtype=np.float64):
     else:
         raise ShapeError(f"unitary_init expects rank 2 or 4, got {shape}")
 
-    rows, cols = (m, n) if m >= n else (n, m)
-    g = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    q = q * np.where(d == 0, 1.0, d / np.abs(d)).conj()
-    w = q if m >= n else q.T
-    w = w.reshape(shape)
-    return (
-        np.ascontiguousarray(w.real, dtype=dtype),
-        np.ascontiguousarray(w.imag, dtype=dtype),
-    )
+    w = _semi_unitary(m, n, rng, complex_valued=True).reshape(shape)
+    return tuple(np.ascontiguousarray(part, dtype=dtype) for part in (w.real, w.imag))
 
 
 def orthogonal_pair_init(shape, rng, dtype=np.float64):
@@ -69,16 +60,24 @@ def orthogonal_pair_init(shape, rng, dtype=np.float64):
     Used for per-part weights (packed-pair layers) where the real and imag
     arrays act on the real and imaginary branches independently.
     """
-    parts = []
-    for _ in range(2):
-        m, n = shape
-        rows, cols = (m, n) if m >= n else (n, m)
-        g = rng.standard_normal((rows, cols))
-        q, r = np.linalg.qr(g)
-        q = q * np.sign(np.where(np.diagonal(r) == 0, 1.0, np.diagonal(r)))
-        w = q if m >= n else q.T
-        parts.append(np.ascontiguousarray(w, dtype=dtype))
-    return parts[0], parts[1]
+    return tuple(
+        np.ascontiguousarray(_semi_unitary(*shape, rng, complex_valued=False), dtype=dtype)
+        for _ in range(2)
+    )
+
+
+def _semi_unitary(m, n, rng, complex_valued):
+    """An [m, n] matrix with orthonormal columns (rows, when m < n): the Q of
+    a Gaussian draw's QR with R's diagonal turned positive, so the draw alone
+    fixes it.  A complex draw takes its real part from ``rng`` first."""
+    rows, cols = (m, n) if m >= n else (n, m)
+    g = rng.standard_normal((rows, cols))
+    if complex_valued:
+        g = g + 1j * rng.standard_normal((rows, cols))
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r)
+    q = q * np.where(d == 0, 1.0, d / np.abs(d)).conj()
+    return q if m >= n else q.T
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from . import layers
 from .attention import TFAttentionBlock, count_parameters
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import build_config
-from .ctensor import ComplexTensor, GradTape
+from .ctensor import ComplexTensor
 from .datasynth import read_manifest
 from .errors import ConfigError, ContractError, DataError, ShapeError, TrainingError
 from .layers import ComplexBatchNorm, ComplexGruCell, _conv_out_dim, complex_conv2d, unitary_init
@@ -413,10 +413,7 @@ class Adam:
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
         for name, p in self.params:
-            pair = grads.get(name)
-            if pair is None:
-                pair = (np.zeros_like(p.real), np.zeros_like(p.imag))
-            gr, gi = pair
+            gr, gi = grads[name]
             if not (np.all(np.isfinite(gr)) and np.all(np.isfinite(gi))):
                 raise TrainingError(f"non-finite gradient for parameter {name!r}")
             mr, vr, mi, vi = self.state[name]
@@ -470,9 +467,12 @@ def load_training_images(manifest_path, cfg: ModelConfig, log=None):
             _, img_in, img_x = _spectral_front_end(reverb, cfg)
             img_s = make_spectral_images(stft(clean, cfg.signal_config()), cfg.image_frames)
         except (OSError, DataError, ContractError, ShapeError) as exc:
-            reasons.append(str(exc))
+            reason = str(exc)  # read_wav's messages name the file at fault
+            if row["clean_path"] not in reason and row["reverb_path"] not in reason:
+                reason = f"{row['clean_path']}, {row['reverb_path']}: {reason}"
+            reasons.append(reason)
             if log is not None:
-                log(f"warning: skipping pair {row['clean_path']}: {exc}")
+                log(f"warning: skipping pair: {reason}")
             continue
         inputs.extend(img_in)
         raws.extend(img_x)
@@ -491,13 +491,14 @@ def train(model: DccrnModel, manifest_path, out_dir, log=None):
     (step, epoch, loss) tuples.
     """
     cfg = model.cfg
+    inputs, raws, targets, _ = load_training_images(manifest_path, cfg, log=log)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    inputs, raws, targets, _ = load_training_images(manifest_path, cfg, log=log)
 
     dtype = cfg.np_dtype
     rng = np.random.default_rng(cfg.seed)
     named = model.parameters()
+    params = [p for _, p in named]
     adam = Adam(named, lr=cfg.learning_rate)
     loss_rows = []
     step = 0
@@ -510,27 +511,24 @@ def train(model: DccrnModel, manifest_path, out_dir, log=None):
             # only, keeping reductions bit-reproducible
             batch = np.sort(order[lo : lo + cfg.batch_size])
             x_in = _image_tensors([inputs[i] for i in batch], dtype)
-            x_raw = _image_tensors([raws[i] for i in batch], dtype)
+            # without PSD smoothing ``raws`` holds the images of ``inputs``
+            x_raw = x_in
+            if cfg.psd_smoothing_alpha is not None:
+                x_raw = _image_tensors([raws[i] for i in batch], dtype)
             s_clean = _image_tensors([targets[i] for i in batch], dtype)
 
-            tape = GradTape()
-            for _, p in named:
-                tape.watch(p)
-            mask = model.forward(x_in, training=True)
-            s_hat = ct.cmul(mask, x_raw)
-            loss = complex_loss(s_clean, s_hat, cfg.compress_exponent, cfg.loss_beta)
-            loss_val = float(loss.real)
-            if not np.isfinite(loss_val):
-                raise TrainingError(f"non-finite loss {loss_val} at step {step}")
-            grads = tape.backward(loss)
-            by_name = {}
-            for name, p in named:
-                if p.node_id in grads:
-                    by_name[name] = grads[p.node_id]
-                p.tape = None
-                p.node_id = None
-            adam.step(by_name)
-            loss_rows.append((step, epoch, loss_val))
+            def build_loss():
+                mask = model.forward(x_in, training=True)
+                s_hat = ct.cmul(mask, x_raw)
+                loss = complex_loss(s_clean, s_hat, cfg.compress_exponent, cfg.loss_beta)
+                loss_val = float(loss.real)
+                if not np.isfinite(loss_val):
+                    raise TrainingError(f"non-finite loss {loss_val} at step {step}")
+                return loss
+
+            loss, grads = ct.gradients(build_loss, params)
+            adam.step({name: g for (name, _), g in zip(named, grads)})
+            loss_rows.append((step, epoch, float(loss.real)))
             step += 1
         if log is not None and cfg.epochs:
             log(f"epoch {epoch}: loss {loss_rows[-1][2]:.6g} ({step} steps)")

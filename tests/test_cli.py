@@ -187,7 +187,8 @@ class TestTrain:
         lines = capsys.readouterr().err.strip().splitlines()
         assert [line.split(":")[0] for line in lines] == ["warning", "error"]
         assert "no usable pairs" in lines[1] and "sample rate 500 Hz" in lines[1]
-        assert not (tmp_path / "run" / "final.ckpt").exists()
+        assert lines[0].count("clean_0000.wav") == 1
+        assert not (tmp_path / "run").exists()
 
     def test_run_record_and_checkpoint_hold_the_config(self, tmp_path):
         assert main(synth_args(tmp_path / "data", n=1)) == 0

@@ -10,11 +10,7 @@ from dereverb import ctensor as ct
 from dereverb.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from dereverb.ctensor import ComplexTensor, GradTape
 from dereverb.errors import ContractError, ShapeError
-from dereverb.gradcheck import (
-    analytic_gradients,
-    finite_difference_gradients,
-    max_relative_error,
-)
+from dereverb.gradcheck import finite_difference_gradients, max_relative_error
 from taped_ops import conj, index_axis, stack, sum_all
 
 
@@ -129,7 +125,7 @@ class TestBatchedMatrixOps:
         got_y, want_y = op(*operands), per_item(op, *operands)
         probe = rand_ct(rng, *got_y.shape)
         got, want = (
-            analytic_gradients(lambda: ct.sum_abs2(ct.cmul(run(*operands), probe)), operands)
+            ct.gradients(lambda: ct.sum_abs2(ct.cmul(run(*operands), probe)), operands)[1]
             for run in (op, lambda *ts: per_item(op, *ts))
         )
         assert got_y.shape == want_y.shape
@@ -237,7 +233,7 @@ class TestBackward:
             z = ct.cmul(y, conj(y))
             return ct.sum_abs2(ct.compress_mag(ct.add(z, 1.0), 0.7))
 
-        analytic = analytic_gradients(build, [a, b, w])
+        analytic = ct.gradients(build, [a, b, w])[1]
         numeric = finite_difference_gradients(
             lambda: float(build().real), [a, b, w], eps=1e-5
         )
@@ -266,6 +262,61 @@ class TestBackward:
         gc = grads_for(combined)
         np.testing.assert_allclose(gc[0], alpha * g1[0] + g2[0], atol=1e-10)
         np.testing.assert_allclose(gc[1], alpha * g1[1] + g2[1], atol=1e-10)
+
+    def test_map_holds_only_watched_leaves(self):
+        rng = np.random.default_rng(15)
+        x, w = rand_ct(rng, 3, 4), rand_ct(rng, 4, 2)
+        tape = GradTape()
+        tape.watch(x)
+        tape.watch(w)
+        y = ct.crelu(ct.matmul(x, w))
+        grads = tape.backward(ct.sum_abs2(ct.add(y, 1.0)))
+        assert set(grads) == {x.node_id, w.node_id}
+
+
+class TestGradients:
+    def test_matches_one_tape_pass_and_detaches(self):
+        rng = np.random.default_rng(16)
+        x, w = rand_ct(rng, 3, 4), rand_ct(rng, 4, 2)
+        build = lambda a, b: ct.sum_abs2(ct.crelu(ct.matmul(a, b)))
+        tape = GradTape()
+        xc, wc = tape.watch(x.copy()), tape.watch(w.copy())
+        want_loss = build(xc, wc)
+        want = tape.backward(want_loss)
+        loss, grads = ct.gradients(lambda: build(x, w), [x, w])
+        assert float(loss.real) == float(want_loss.real)
+        for got, t in zip(grads, (xc, wc)):
+            np.testing.assert_array_equal(got[0], want[t.node_id][0])
+            np.testing.assert_array_equal(got[1], want[t.node_id][1])
+        assert all(t.tape is None and t.node_id is None for t in (x, w))
+        assert build(x, w).tape is None
+
+    def test_unreached_tensor_gets_zeros(self):
+        rng = np.random.default_rng(17)
+        x = rand_ct(rng, 2, 3)
+        p = ComplexTensor(np.ones((4,), np.float32), np.ones((4,), np.float32))
+        _, (gx, gp) = ct.gradients(lambda: ct.sum_abs2(x), [x, p])
+        np.testing.assert_array_equal(gx[0], 2 * x.real)
+        for g in gp:
+            assert g.dtype == np.float32
+            np.testing.assert_array_equal(g, np.zeros(4))
+        assert p.tape is None and p.node_id is None
+
+    def test_failed_build_detaches_without_backward(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        x, w = rand_ct(rng, 3), rand_ct(rng, 3)
+        walked = []
+        monkeypatch.setattr(GradTape, "backward", lambda tape, loss: walked.append(loss))
+
+        def build():
+            ct.cmul(x, w)
+            raise ValueError("forward failed")
+
+        with pytest.raises(ValueError, match="forward failed"):
+            ct.gradients(build, [x, w])
+        assert walked == []
+        assert all(t.tape is None and t.node_id is None for t in (x, w))
+        assert ct.cmul(x, w).tape is None
 
 
 class TestElementwise:
@@ -345,7 +396,7 @@ class TestShapeOps:
             resh = ct.reshape(perm, (3, 4))
             return ct.sum_abs2(ct.cmul(resh, resh))
 
-        analytic = analytic_gradients(build, [a, b])
+        analytic = ct.gradients(build, [a, b])[1]
         numeric = finite_difference_gradients(lambda: float(build().real), [a, b])
         assert max_relative_error(analytic, numeric) < 1e-4
 

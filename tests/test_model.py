@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 
 from dereverb import ctensor as ct
+from dereverb import model as model_mod
 from dereverb.ctensor import ComplexTensor
 from dereverb.datasynth import SynthConfig, generate_dataset
 from dereverb.errors import ConfigError, ContractError, DataError, ShapeError, TrainingError
-from dereverb.gradcheck import (
-    analytic_gradients,
-    finite_difference_gradients,
-    max_relative_error,
-)
+from dereverb.gradcheck import finite_difference_gradients, max_relative_error
 from dereverb.model import (
     Adam,
     DccrnModel,
@@ -22,7 +19,7 @@ from dereverb.model import (
     load_training_images,
     train,
 )
-from dereverb.signal import WaveForm, istft, stft
+from dereverb.signal import WaveForm, istft, stft, write_wav
 
 
 def tiny_config(**overrides):
@@ -102,7 +99,7 @@ class TestComplexLoss:
         )
         s, t = mk(), mk()
         build = lambda: complex_loss(s, t, 0.3, 0.3)
-        analytic = analytic_gradients(build, [t])
+        analytic = ct.gradients(build, [t])[1]
         numeric = finite_difference_gradients(lambda: float(build().real), [t])
         assert max_relative_error(analytic, numeric) < 1e-4
 
@@ -209,7 +206,7 @@ class TestDccrnForward:
             s_hat = ct.cmul(mask, x)
             return complex_loss(target, s_hat, cfg.compress_exponent, cfg.loss_beta)
 
-        analytic = analytic_gradients(build, subset)
+        analytic = ct.gradients(build, subset)[1]
         numeric = finite_difference_gradients(lambda: float(build().real), subset)
         assert max_relative_error(analytic, numeric) < 1e-4
 
@@ -244,7 +241,7 @@ class TestDccrnForward:
             s_hat = ct.cmul(model.forward(x, training=False), x)
             return complex_loss(target, s_hat, cfg.compress_exponent, cfg.loss_beta)
 
-        analytic = analytic_gradients(build, params)
+        analytic = ct.gradients(build, params)[1]
         numeric = finite_difference_gradients(lambda: float(build().real), params)
         assert max_relative_error(analytic, numeric) < 1e-4
 
@@ -365,6 +362,32 @@ class TestTraining:
         with pytest.raises(DataError, match="2 skipped; first: .*clean_0000.wav.*not a readable"):
             train(model, manifest, tmp_path / "run", log=messages.append)
         assert sum("skipping" in m for m in messages) == 2
+
+    def test_skip_warning_names_each_wav_once(self, tmp_path):
+        manifest = _make_dataset(tmp_path / "data", n_pairs=3)
+        clean, reverb = (tmp_path / "data" / f"{kind}_0000.wav" for kind in ("clean", "reverb"))
+        clean.write_bytes(b"garbage")
+        # a readable WAV shorter than one frame: the reason names no file
+        write_wav(tmp_path / "data" / "clean_0001.wav", WaveForm(np.zeros(5), 500))
+        messages = []
+        load_training_images(manifest, tiny_config(), log=messages.append)
+        assert len(messages) == 2
+        assert messages[0].startswith(f"warning: skipping pair: {clean}: not a readable")
+        assert messages[0].count("_0000.wav") == 1
+        short = messages[1]
+        assert short.count("clean_0001.wav") == 1 and short.count("reverb_0001.wav") == 1
+        assert "shorter than one frame" in short
+
+    def test_non_finite_loss_leaves_parameters_detached(self, tmp_path, monkeypatch):
+        manifest = _make_dataset(tmp_path / "data", n_pairs=1)
+        model = DccrnModel(tiny_config())
+        loss = model_mod.complex_loss
+        monkeypatch.setattr(model_mod, "complex_loss", lambda *a: ct.scale(loss(*a), np.nan))
+        with pytest.raises(TrainingError, match="non-finite loss nan at step 0"):
+            train(model, manifest, tmp_path / "run")
+        assert all(p.tape is None and p.node_id is None for _, p in model.parameters())
+        out = model.forward(rand_images(np.random.default_rng(131), model.cfg), training=True)
+        assert out.tape is None
 
 
 class TestSpectralFrontEnd:
