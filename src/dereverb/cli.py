@@ -1,9 +1,10 @@
 """Command-line front-end: synth | train | enhance | eval | gradcheck.
 
-Exit codes: 0 success, 1 usage error, 2 data/config error, 3 numerical
-failure (NaN loss, failed gradient check).  Every subcommand with file
-outputs writes a ``run.json`` record of its resolved settings alongside
-them; the record carries no timestamps so reruns are byte-identical.
+Exit codes: 0 success, 1 usage error, 2 data/config error (a file that
+cannot be read or written included), 3 numerical failure (NaN loss, failed
+gradient check).  Every subcommand with file outputs writes a ``run.json``
+record of its resolved settings alongside them; the record carries no
+timestamps so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -20,14 +21,7 @@ import numpy as np
 from . import __version__
 from .config import load_model_config, load_synth_config
 from .datasynth import generate_dataset
-from .errors import (
-    ConfigError,
-    ContractError,
-    DataError,
-    DereverbError,
-    ShapeError,
-    TrainingError,
-)
+from .errors import DataError, DereverbError, TrainingError
 from .gradcheck import run_suite
 from .metrics import evaluate_dirs
 from .model import DccrnModel, enhance_waveform, train
@@ -192,12 +186,12 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, DataError, ContractError, ShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except TrainingError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except (DereverbError, OSError) as exc:  # an OS error's message names the path
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -100,8 +100,6 @@ def _load(cls, path, overrides):
     raw = {}
     if path is not None:
         p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"config file not found: {p}")
         try:
             text = p.read_bytes().decode("utf-8")
         except UnicodeDecodeError as exc:

@@ -208,21 +208,15 @@ def generate_dataset(n_pairs, seed, out_dir, cfg: SynthConfig | None = None):
     if seed < 0:
         raise ContractError(f"seed must be >= 0, got {seed}")
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise DataError(f"cannot create output directory {out}: {exc}") from exc
+    out.mkdir(parents=True, exist_ok=True)
     rows = []
     for i in range(n_pairs):
         pair_seed = _pair_seed(seed, i)
         clean, reverb, t60 = make_pair(pair_seed, cfg)
         clean_name = f"clean_{i:04d}.wav"
         reverb_name = f"reverb_{i:04d}.wav"
-        try:
-            write_wav(out / clean_name, clean)
-            write_wav(out / reverb_name, reverb)
-        except OSError as exc:
-            raise DataError(f"failed writing WAV under {out}: {exc}") from exc
+        write_wav(out / clean_name, clean)
+        write_wav(out / reverb_name, reverb)
         rows.append(
             {
                 "clean_path": clean_name,
@@ -243,8 +237,6 @@ def generate_dataset(n_pairs, seed, out_dir, cfg: SynthConfig | None = None):
 def read_manifest(path):
     """Manifest rows as dicts with absolute paths; validates the header."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"manifest not found: {path}")
     try:
         text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:

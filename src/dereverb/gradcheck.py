@@ -13,6 +13,7 @@ import time
 import numpy as np
 
 from .ctensor import gradients
+from .errors import ContractError
 
 
 def finite_difference_gradients(loss_fn, tensors, eps=1e-5):
@@ -79,6 +80,8 @@ def run_suite(seed=0, eps=1e-5, n_instances=5, tol=1e-4, report=None):
     ``(name, max_rel_err, elapsed_s, passed)``.  ``report`` may be a callable
     taking one formatted line at a time (e.g. ``print``).
     """
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
     from . import gradcheck_scenarios  # deferred: needs the layer stack
 
     rows = []

@@ -11,6 +11,7 @@ tuned to any external toolkit.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -200,12 +201,11 @@ class MetricReport:
         return tuple(float(v) for v in arr.mean(axis=0))
 
     def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("utt_id,cd,llr,fwsegsnr\n")
-            for utt, c, l, f in self.rows:
-                fh.write(f"{utt},{c!r},{l!r},{f!r}\n")
-            mc, ml, mf = self.means()
-            fh.write(f"MEAN,{mc!r},{ml!r},{mf!r}\n")
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["utt_id", "cd", "llr", "fwsegsnr"])
+            writer.writerows(self.rows)
+            writer.writerow(["MEAN", *self.means()])
 
 
 def evaluate_pair(ref: WaveForm, test: WaveForm):

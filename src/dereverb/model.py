@@ -20,7 +20,7 @@ import numpy as np
 
 from . import ctensor as ct
 from . import layers
-from .attention import TFAttentionBlock, count_parameters
+from .attention import MECHANISMS, TFAttentionBlock, count_parameters
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import build_config
 from .ctensor import ComplexTensor
@@ -38,7 +38,7 @@ from .signal import (
     stft,
 )
 
-ATTENTION_VARIANTS = ("none", "sdab", "conventional", "complex")
+ATTENTION_VARIANTS = ("none", *MECHANISMS)
 
 
 @dataclass

@@ -236,7 +236,7 @@ def write_wav(path, wf: WaveForm):
     if peak > 1.0:
         raise ContractError(f"samples exceed full scale (peak {peak:.3f}); normalize first")
     q = np.clip(np.rint(wf.samples * 32767.0), -32768, 32767).astype("<i2")
-    with wave.open(str(path), "wb") as fh:
+    with open(path, "wb") as stream, wave.open(stream, "wb") as fh:
         fh.setnchannels(1)
         fh.setsampwidth(2)
         fh.setframerate(wf.sample_rate)
@@ -246,7 +246,7 @@ def write_wav(path, wf: WaveForm):
 def read_wav(path, expected_rate: int | None = None) -> WaveForm:
     """Read 16-bit PCM mono; optionally validates the sample rate."""
     try:
-        with wave.open(str(path), "rb") as fh:
+        with open(path, "rb") as stream, wave.open(stream, "rb") as fh:
             if fh.getnchannels() != 1:
                 raise DataError(f"{path}: expected mono, got {fh.getnchannels()} channels")
             if fh.getsampwidth() != 2:

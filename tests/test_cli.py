@@ -1,5 +1,6 @@
 """CLI contracts: subcommands, exit codes, run records, determinism."""
 
+import csv
 import dataclasses
 import json
 import os
@@ -53,6 +54,14 @@ def tiny_model_config():
     )
 
 
+def run_in_subprocess(*args):
+    """``python -m dereverb.cli *args`` in a fresh interpreter, output captured."""
+    src = Path(dereverb.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-m", "dereverb.cli", *map(str, args)]
+    return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+
+
 def synth_args(out, n=2, seed=5):
     args = ["synth", "--n", str(n), "--seed", str(seed), "--out", str(out)]
     for ov in TINY_SYNTH_OVERRIDES:
@@ -100,11 +109,8 @@ class TestSynth:
 
     @pytest.mark.parametrize("rate", [1, 2])
     def test_rate_below_one_sample_per_segment_exits_2(self, tmp_path, rate):
-        src = Path(dereverb.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        argv = [sys.executable, "-m", "dereverb.cli", "synth", "--n", "1", "--out",
-                str(tmp_path / "d"), "--set", f"sample_rate={rate}"]
-        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        done = run_in_subprocess("synth", "--n", "1", "--out", tmp_path / "d",
+                                 "--set", f"sample_rate={rate}")
         assert done.returncode == 2
         assert "segment" in done.stderr and len(done.stderr.strip().splitlines()) == 1
 
@@ -223,6 +229,16 @@ class TestEnhance:
         assert rc == 0
         assert (tmp_path / "out.wav").exists()
         assert (tmp_path / "out.wav.run.json").exists()
+
+    def test_out_is_a_directory_exits_2_with_one_line(self, tmp_path):
+        ckpt = self._checkpoint(tmp_path)
+        write_wav(tmp_path / "in.wav", WaveForm(np.zeros(300), 500))
+        (tmp_path / "out").mkdir()
+        done = run_in_subprocess("enhance", "--ckpt", ckpt, "--in", tmp_path / "in.wav",
+                                 "--out", tmp_path / "out")
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: ") and str(tmp_path / "out") in done.stderr
+        assert len(done.stderr.strip().splitlines()) == 1
 
     def test_sample_rate_mismatch_names_both_rates(self, tmp_path, capsys):
         ckpt = self._checkpoint(tmp_path)
@@ -355,6 +371,21 @@ class TestEval:
         mean = lines[-1].split(",")
         assert float(mean[1]) == 0.0 and float(mean[3]) == 35.0
 
+    def test_comma_in_name_is_quoted(self, tmp_path):
+        wf = WaveForm(0.3 * np.sin(np.arange(2000) / 3.0), 4000)
+        for d in ("ref", "test"):
+            (tmp_path / d).mkdir()
+            write_wav(tmp_path / d / "a,b.wav", wf)
+        rc = main(
+            ["eval", "--ref-dir", str(tmp_path / "ref"), "--test-dir", str(tmp_path / "test"),
+             "--out", str(tmp_path / "scores.csv")]
+        )
+        assert rc == 0
+        with open(tmp_path / "scores.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(r) for r in rows] == [4, 4, 4]
+        assert rows[1][0] == "a,b"
+
 
 class TestGradcheckCommand:
     def test_passes_with_table(self, capsys):
@@ -362,6 +393,12 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert rc == 0
         assert "PASS" in out and "complex_conv2d" in out
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["gradcheck", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be >= 0, got -1\n"
 
 
 class TestUsageErrors:

@@ -2,7 +2,9 @@
 or manifest must end in exit 0 or 2, never in a traceback.  Mutations are
 seeded; half truncate the file at a random length, half flip one to three
 bytes, mostly inside the file's structured head.  A sweep sets every config
-field to odd values, through ``--set`` and through checkpoint metadata."""
+field to odd values, through ``--set`` and through checkpoint metadata, and
+another makes every path argument missing, a directory, or a file where a
+directory must be made."""
 
 import contextlib
 import copy
@@ -16,7 +18,6 @@ import pytest
 from dereverb.checkpoint import load_checkpoint, save_checkpoint
 from dereverb.cli import main
 from dereverb.datasynth import SynthConfig
-from dereverb.errors import DereverbError
 from dereverb.model import DccrnModel, ModelConfig
 
 MODEL_OVERRIDES = [
@@ -58,21 +59,33 @@ def mutations(data, seed, head):
         yield bytes(b)
 
 
+def run_cli(argv, codes=(0, 2, 3), naming=""):
+    """How the outcome of ``main(argv)`` breaks the contract, as a string, or None
+    if it keeps it.  The contract: an exit code in ``codes``, and for a nonzero one
+    a single error line, after any warnings, that contains ``naming``.  Any
+    exception that escapes ``main`` breaks it."""
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(argv)
+    except Exception as exc:  # noqa: BLE001 - any escape is the finding
+        return f"{type(exc).__name__}: {exc}"
+    lines = err.getvalue().splitlines()
+    errors = [ln for ln in lines if not ln.startswith("warning: ")]
+    one_line = len(errors) == 1 and errors[0].startswith(("error: ", "numerical failure: "))
+    kept = rc in codes and (rc == 0 or (one_line and naming in errors[0]))
+    return None if kept else f"exit {rc}: {lines}"
+
+
 def run_fuzz(path, cases, argv):
     """Write each of ``cases`` to ``path`` and run ``argv``; returns the cases
-    that broke the contract (exit 0 or 2, only DereverbError escapes)."""
+    that broke the contract (exit 0, or exit 2 with one error line)."""
     broken = []
     for k, damaged in enumerate(cases):
         path.write_bytes(damaged)
-        try:
-            rc = main(argv)
-        except DereverbError:
-            continue
-        except Exception as exc:  # noqa: BLE001 - any other escape is the finding
-            broken.append(f"case {k}: {type(exc).__name__}: {exc}")
-            continue
-        if rc not in (0, 2):
-            broken.append(f"case {k}: exit {rc}")
+        outcome = run_cli(argv, codes=(0, 2))
+        if outcome is not None:
+            broken.append(f"case {k}: {outcome}")
     return broken
 
 
@@ -134,26 +147,6 @@ def odd_values(field, seed):
     return [*ODD_VALUES, (str(k), k), (",".join(map(str, pair)), pair)]
 
 
-def run_cli(argv):
-    """Exit code and stderr lines of ``main(argv)``; the outcome violates the
-    contract (returned as a string) unless it is exit 0, or exit 2 or 3 with
-    one error line after any warnings.  A DereverbError may escape."""
-    err = io.StringIO()
-    try:
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            rc = main(argv)
-    except DereverbError:
-        return None
-    except Exception as exc:  # noqa: BLE001 - any other escape is the finding
-        return f"{type(exc).__name__}: {exc}"
-    lines = err.getvalue().splitlines()
-    if rc == 0:
-        return None
-    errors = [ln for ln in lines if not ln.startswith("warning: ")]
-    one_line = len(errors) == 1 and errors[0].startswith(("error: ", "numerical failure: "))
-    return None if rc in (2, 3) and one_line else f"exit {rc}: {lines}"
-
-
 def test_config_sweep_through_set(good, tmp_path):
     manifest = good / "data" / "one.csv"
     manifest.write_text("".join((good / "data" / "manifest.csv").read_text().splitlines(True)[:2]))
@@ -191,4 +184,58 @@ def test_config_sweep_through_checkpoint(good, tmp_path):
             outcome = run_cli(argv)
             if outcome is not None:
                 broken.append(f"{f.name}={value!r}: {outcome}")
+    assert broken == []
+
+
+def test_bad_path_arguments(good, tmp_path):
+    """Every path argument, missing, a directory, or a file where a directory
+    must be made, exits 2 with one error line that names the path."""
+    data, ckpt = good / "data", good / "model.ckpt"
+    manifest, wav = data / "manifest.csv", data / "reverb_0000.wav"
+    missing, adir, afile = tmp_path / "missing", tmp_path / "adir", tmp_path / "afile"
+    adir.mkdir()
+    afile.write_text("x")
+    refs, tests = tmp_path / "refs", tmp_path / "tests"
+    (refs / "u.wav").mkdir(parents=True)
+    tests.mkdir()
+    shutil.copy(wav, tests / "u.wav")
+    model = [arg for ov in MODEL_OVERRIDES for arg in ("--set", ov)]
+    out = tmp_path / "out"
+
+    def enhance(ckpt=ckpt, infile=wav, out=out / "o.wav"):
+        return ["enhance", "--ckpt", ckpt, "--in", infile, "--out", out]
+
+    def train(data=manifest, out=out / "run", config=None):
+        return ["train", "--data", data, "--out", out,
+                *(["--config", config] if config else []), *model]
+
+    def evaluate(refs=data, tests=data, out=out / "s.csv"):
+        return ["eval", "--ref-dir", refs, "--test-dir", tests, "--out", out]
+
+    cases = [
+        (enhance(ckpt=missing), missing),
+        (enhance(ckpt=adir), adir),
+        (enhance(infile=missing), missing),
+        (enhance(infile=adir), adir),
+        (enhance(out=adir), adir),
+        (enhance(out=afile / "o.wav"), afile),
+        (train(data=missing), missing),
+        (train(data=adir), adir),
+        (train(config=missing), missing),
+        (train(config=adir), adir),
+        (train(out=afile), afile),
+        (evaluate(refs=missing), missing),
+        (evaluate(refs=refs, tests=tests), refs / "u.wav"),
+        (evaluate(tests=missing), missing),
+        (evaluate(out=adir), adir),
+        (evaluate(out=afile / "s.csv"), afile),
+        (["synth", "--n", "1", "--out", afile / "d"], afile),
+        (["synth", "--n", "1", "--out", out / "d", "--config", adir], adir),
+    ]
+    broken = []
+    for argv, path in cases:
+        argv = [str(a) for a in argv]
+        outcome = run_cli(argv, codes=(2,), naming=str(path))
+        if outcome is not None:
+            broken.append(f"{' '.join(argv[:1] + argv[1:7])}: {outcome}")
     assert broken == []
