@@ -124,15 +124,3 @@ def load_model_config(path=None, overrides=()):
 def load_synth_config(path=None, overrides=()) -> SynthConfig:
     return _load(SynthConfig, path, overrides)
 
-
-def config_to_text(cfg) -> str:
-    """Serialize a config dataclass back to the key = value format."""
-    lines = []
-    for f in dataclasses.fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(value, tuple):
-            value = ",".join(str(v) for v in value)
-        elif value is None:
-            value = "none"
-        lines.append(f"{f.name} = {value}")
-    return "\n".join(lines) + "\n"

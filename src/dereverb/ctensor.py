@@ -69,9 +69,6 @@ class ComplexTensor:
     def dtype(self):
         return self.real.dtype
 
-    def copy(self):
-        return ComplexTensor(self.real.copy(), self.imag.copy())
-
     def __repr__(self):
         tag = "" if self.node_id is None else f", node={self.node_id}"
         return f"ComplexTensor(shape={self.shape}{tag})"
@@ -250,12 +247,6 @@ def _reduce_to(grad, shape):
     return acc
 
 
-def _as_tensor(x):
-    if isinstance(x, ComplexTensor):
-        return x
-    return ComplexTensor(np.asarray(x, dtype=np.float64))
-
-
 # ---------------------------------------------------------------------------
 # elementwise ops
 # ---------------------------------------------------------------------------
@@ -263,7 +254,6 @@ def _as_tensor(x):
 
 def add(a, b):
     """Elementwise a + b with numpy broadcasting."""
-    a, b = _as_tensor(a), _as_tensor(b)
     out_r = a.real + b.real
     out_i = a.imag + b.imag
     return _emit(
@@ -278,7 +268,6 @@ def add(a, b):
 
 
 def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
     out_r = a.real - b.real
     out_i = a.imag - b.imag
     return _emit(
@@ -300,7 +289,6 @@ def scale(a, c):
 
 def cmul(a, b):
     """Elementwise complex product, with broadcasting."""
-    a, b = _as_tensor(a), _as_tensor(b)
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     out_r = ar * br - ai * bi
     out_i = ar * bi + ai * br
@@ -363,9 +351,7 @@ def pow_re(a, p):
     p = float(p)
     out = np.power(a.real, p)
 
-    if p == 1.0:
-        vjp = lambda gr, gi: (gr, np.zeros_like(gr))
-    elif p >= 1.0:
+    if p >= 1.0:
         factor = p * np.power(a.real, p - 1.0)
         vjp = lambda gr, gi: (gr * factor, np.zeros_like(gr))
     else:

@@ -1,9 +1,12 @@
 """Finite-difference verification of analytic gradients.
 
-The checker re-runs a forward closure with each parameter element perturbed
-by +/-eps (central differences) and compares against one reverse-mode pass.
-:func:`run_suite` runs the CLI ``gradcheck`` subcommand over the scenarios
-registered in :mod:`dereverb.gradcheck_scenarios`.
+:func:`check_gradients` re-runs a loss closure with each tensor element
+perturbed by +/-eps (central differences) and compares against one
+reverse-mode pass.  :func:`run_suite` runs the CLI ``gradcheck`` subcommand
+over :data:`SCENARIOS`.  Each scenario factory draws a small random instance
+and returns ``(loss_fn, tensors)``; instances are kept tiny so the whole
+suite runs in seconds.  Inputs are drawn with magnitudes bounded away from
+zero where a kink (CReLU) or a non-smooth magnitude sits on the forward path.
 """
 
 from __future__ import annotations
@@ -12,17 +15,17 @@ import time
 
 import numpy as np
 
-from .ctensor import gradients
+from . import ctensor as ct
+from .attention import TFAttentionBlock
+from .ctensor import ComplexTensor
 from .errors import ContractError
+from .layers import ComplexBatchNorm, ComplexGruCell, complex_conv2d, complex_conv_transpose2d
+from .model import complex_loss
 
 
-def finite_difference_gradients(loss_fn, tensors, eps=1e-5):
-    """Central-difference gradients of ``loss_fn()`` w.r.t. each tensor.
-
-    ``loss_fn`` must recompute the scalar loss from the tensors' current
-    values (and must not record on any tape).  Returns a list of
-    ``(grad_real, grad_imag)`` pairs matching ``tensors``.
-    """
+def _finite_difference_gradients(loss_fn, tensors, eps):
+    """Central-difference gradients of the float ``loss_fn()`` w.r.t. each
+    tensor, as ``(grad_real, grad_imag)`` pairs matching ``tensors``."""
     out = []
     for t in tensors:
         gr = np.zeros_like(t.real)
@@ -40,7 +43,7 @@ def finite_difference_gradients(loss_fn, tensors, eps=1e-5):
     return out
 
 
-def max_relative_error(analytic, numeric):
+def _max_relative_error(analytic, numeric):
     """max_inf-norm error ratio over a list of gradient pairs.
 
     For each pair: ||a - n||_inf / max(||n||_inf, 1e-8), then the max over
@@ -56,25 +59,133 @@ def max_relative_error(analytic, numeric):
     return worst
 
 
-def check_gradients(make_scenario, eps=1e-5):
-    """Compare reverse-mode and finite-difference gradients for a scenario.
+def check_gradients(loss_fn, tensors, eps=1e-5):
+    """Max relative error between the reverse-mode and the finite-difference
+    gradients of ``loss_fn()`` w.r.t. ``tensors``.
 
-    ``make_scenario()`` must return ``(loss_fn, tensors)`` where ``loss_fn``
-    recomputes the scalar loss (as a ComplexTensor) from current tensor
-    values.  Returns the max relative error.
+    ``loss_fn`` must recompute the real scalar loss (a ComplexTensor) from
+    the tensors' current values.
     """
-    loss_fn, tensors = make_scenario()
-    _, analytic = gradients(loss_fn, tensors)
+    _, analytic = ct.gradients(loss_fn, tensors)
+    numeric = _finite_difference_gradients(lambda: float(loss_fn().real), tensors, eps)
+    return _max_relative_error(analytic, numeric)
 
-    def numeric_loss():
-        return float(loss_fn().real)
 
-    numeric = finite_difference_gradients(numeric_loss, tensors, eps=eps)
-    return max_relative_error(analytic, numeric)
+def _tame(rng, *shape):
+    """Random values with |v| in [0.2, 1.2]: clear of the CReLU kink."""
+    mag = rng.uniform(0.2, 1.2, shape)
+    sign = rng.choice([-1.0, 1.0], shape)
+    return mag * sign
+
+
+def _tensor(rng, *shape):
+    return ComplexTensor(_tame(rng, *shape), _tame(rng, *shape))
+
+
+def conv2d_scenario(rng):
+    x = _tensor(rng, 1, 4, 4, 2)
+    w = _tensor(rng, 2, 2, 3, 3)
+
+    def loss():
+        return ct.sum_abs2(ct.crelu(complex_conv2d(x, w, stride=(1, 2), padding=1)))
+
+    return loss, [x, w]
+
+
+def conv_transpose2d_scenario(rng):
+    x = _tensor(rng, 1, 3, 3, 2)
+    w = _tensor(rng, 2, 2, 3, 3)
+
+    def loss():
+        return ct.sum_abs2(complex_conv_transpose2d(x, w, (2, 2), (1, 1), (6, 6)))
+
+    return loss, [x, w]
+
+
+def batchnorm_scenario(rng):
+    bn = ComplexBatchNorm(3)
+    x = _tensor(rng, 2, 3, 2, 3)
+
+    def loss():
+        return ct.sum_abs2(ct.crelu(bn(x, training=True)))
+
+    return loss, [x, bn.gamma_d, bn.gamma_o, bn.beta]
+
+
+def _moved_batchnorm_scenario(training, batch):
+    """Batchnorm on a [B, T, F, C] batch with the scale, shift and running
+    stats moved off their initial values."""
+
+    def factory(rng):
+        bn = ComplexBatchNorm(3)
+        for p in (bn.gamma_d, bn.gamma_o, bn.beta):
+            p.real[:], p.imag[:] = _tame(rng, 3), _tame(rng, 3)
+        for _ in range(2):
+            bn(_tensor(rng, batch, 3, 2, 3), training=True)
+        x = _tensor(rng, batch, 3, 2, 3)
+
+        def loss():
+            return ct.sum_abs2(ct.crelu(bn(x, training=training)))
+
+        return loss, [x, bn.gamma_d, bn.gamma_o, bn.beta]
+
+    return factory
+
+
+def gru_scenario(rng):
+    cell = ComplexGruCell(2, 3, rng=rng)
+    x = _tensor(rng, 2, 3, 2)
+
+    def loss():
+        return ct.sum_abs2(cell.run(x))
+
+    return loss, [x] + [p for _, p in cell.parameters()]
+
+
+def _attention_scenario(variant, batch=None):
+    """A block on a [T, F, C] map, or on a [B, T, F, C] batch as the model runs it."""
+
+    def factory(rng):
+        block = TFAttentionBlock(variant, 2, 3, 3, rng=rng)
+        x = _tensor(rng, *((batch,) if batch else ()), 3, 3, 2)
+
+        def loss():
+            return ct.sum_abs2(block(x))
+
+        return loss, [x] + [p for _, p in block.parameters()]
+
+    return factory
+
+
+def compressed_loss_scenario(rng):
+    s = _tensor(rng, 3, 4)
+    s_hat = _tensor(rng, 3, 4)
+
+    def loss():
+        return complex_loss(s, s_hat, 0.3, 0.3)
+
+    return loss, [s_hat]
+
+
+SCENARIOS = [
+    ("complex_conv2d + crelu", conv2d_scenario),
+    ("complex_conv_transpose2d", conv_transpose2d_scenario),
+    ("complex_batchnorm (training)", batchnorm_scenario),
+    ("complex_gru_run (3 steps)", gru_scenario),
+    ("attention: sdab", _attention_scenario("sdab")),
+    ("attention: conventional", _attention_scenario("conventional")),
+    ("attention: complex", _attention_scenario("complex")),
+    ("compressed complex loss", compressed_loss_scenario),
+    ("attention: complex, rank 4 (B=2)", _attention_scenario("complex", batch=2)),
+    ("complex_batchnorm (eval)", _moved_batchnorm_scenario(False, batch=2)),
+    ("complex_batchnorm (train, B=3)", _moved_batchnorm_scenario(True, batch=3)),
+    ("attention: conventional, rank 4 (B=3)", _attention_scenario("conventional", batch=3)),
+    ("attention: sdab, rank 4 (B=3)", _attention_scenario("sdab", batch=3)),
+]
 
 
 def run_suite(seed=0, eps=1e-5, n_instances=5, tol=1e-4, report=None):
-    """Run every registered gradcheck scenario on seeded random instances.
+    """Run every scenario in :data:`SCENARIOS` on seeded random instances.
 
     Returns ``(all_passed, rows)`` where each row is
     ``(name, max_rel_err, elapsed_s, passed)``.  ``report`` may be a callable
@@ -82,16 +193,14 @@ def run_suite(seed=0, eps=1e-5, n_instances=5, tol=1e-4, report=None):
     """
     if seed < 0:
         raise ContractError(f"seed must be >= 0, got {seed}")
-    from . import gradcheck_scenarios  # deferred: needs the layer stack
-
     rows = []
     all_ok = True
-    for idx, (name, factory) in enumerate(gradcheck_scenarios.SCENARIOS):
+    for idx, (name, factory) in enumerate(SCENARIOS):
         t0 = time.perf_counter()
         worst = 0.0
         for k in range(n_instances):
             rng = np.random.default_rng(np.random.SeedSequence([seed, idx, k]))
-            worst = max(worst, check_gradients(lambda: factory(rng), eps=eps))
+            worst = max(worst, check_gradients(*factory(rng), eps=eps))
         elapsed = time.perf_counter() - t0
         ok = worst <= tol
         all_ok = all_ok and ok

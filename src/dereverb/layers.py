@@ -285,10 +285,11 @@ class ComplexBatchNorm:
     (g_ri, g_ir); ``beta`` is the complex shift.
     """
 
-    def __init__(self, channels_cc, eps=1e-5, momentum=0.1, dtype=np.float64):
+    momentum = 0.1  # weight of the batch statistics in each running-stat update
+
+    def __init__(self, channels_cc, eps=1e-5, dtype=np.float64):
         c = int(channels_cc)
         self.eps = float(eps)
-        self.momentum = float(momentum)
         half = dtype(np.sqrt(0.5))
         self.gamma_d = ComplexTensor(np.full(c, half, dtype=dtype), np.full(c, half, dtype=dtype))
         self.gamma_o = ComplexTensor(np.zeros(c, dtype=dtype), np.zeros(c, dtype=dtype))
@@ -433,9 +434,7 @@ class ComplexGruCell:
         the recurrent half runs step by step.  Forward and vjp form every
         product and sum of the recurrence written as per-step tape ops (complex
         ``matmul``, per-part sigmoid, tanh and products, ``stack``) in that
-        chain's order, so outputs and gradients equal it bit for bit; what goes
-        is its 21 tape nodes per step and the sequence-sized zero array behind
-        each per-step slice's vjp.
+        chain's order, so outputs and gradients equal it bit for bit.
         """
         if x_seq.ndim != 3 or x_seq.shape[-1] != self.input_cc:
             raise ShapeError(

@@ -101,12 +101,18 @@ def _lpc_cepstrum(a):
     return c
 
 
+def _lpc_pair(ref: WaveForm, test: WaveForm):
+    """LPC analysis of both signals' gated frames: the reference autocorrelation
+    r, the predictors a_ref and a_test, and the mask of frames valid in both."""
+    fr, ft = _frame_pair(ref, test)
+    r_ref, a_ref, ok_ref = _lpc(fr)
+    _, a_test, ok_test = _lpc(ft)
+    return r_ref, a_ref, a_test, ok_ref & ok_test
+
+
 def cepstral_distance(ref: WaveForm, test: WaveForm) -> float:
     """Mean LPC-cepstral distance in dB over energy-gated frames (lower = better)."""
-    fr, ft = _frame_pair(ref, test)
-    _, a_ref, ok_ref = _lpc(fr)
-    _, a_test, ok_test = _lpc(ft)
-    ok = ok_ref & ok_test
+    _, a_ref, a_test, ok = _lpc_pair(ref, test)
     if not ok.any():
         raise ContractError("no valid frames for cepstral distance")
     d = _lpc_cepstrum(a_ref[ok]) - _lpc_cepstrum(a_test[ok])
@@ -127,17 +133,14 @@ def llr(ref: WaveForm, test: WaveForm, return_skipped=False):
     regularization are skipped; pass ``return_skipped=True`` to get
     ``(value, skipped_count)``.
     """
-    fr, ft = _frame_pair(ref, test)
-    r_ref, a_ref, ok_ref = _lpc(fr)
-    _, a_test, ok_test = _lpc(ft)
-    ok = ok_ref & ok_test
+    r_ref, a_ref, a_test, ok = _lpc_pair(ref, test)
     r = r_ref[ok]
     # error-filter rows [1, -a_1, ..., -a_p] against the reference autocorrelation
     ones = np.ones((r.shape[0], 1))
     num = _toeplitz_form(r, np.concatenate([ones, -a_test[ok]], axis=1))
     den = _toeplitz_form(r, np.concatenate([ones, -a_ref[ok]], axis=1))
     pos = (num > 0.0) & (den > 0.0)
-    skipped = int(fr.shape[0] - np.count_nonzero(pos))
+    skipped = int(ok.size - np.count_nonzero(pos))
     if not pos.any():
         raise ContractError(f"no valid frames for LLR ({skipped} skipped)")
     values = np.sort(np.maximum(0.0, np.log(num[pos] / den[pos])))

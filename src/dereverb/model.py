@@ -206,11 +206,10 @@ class _UNetBlock:
 class DccrnModel:
     """Complex U-Net with a recurrent bottleneck emitting a complex mask."""
 
-    def __init__(self, cfg: ModelConfig, rng=None):
+    def __init__(self, cfg: ModelConfig):
         cfg.validate()
         self.cfg = cfg
-        if rng is None:
-            rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(cfg.seed)
         dtype = cfg.np_dtype
         n = cfg.num_enc_layers
         enc_cc = [c // 2 for c in cfg.channels]
@@ -300,6 +299,11 @@ class DccrnModel:
 
     def load_arrays(self, arrays):
         dtype = self.cfg.np_dtype
+        known = {name for name, _ in self.parameters()}
+        known.update(f"buffer.{name}" for name, _ in self.buffers())
+        unknown = [key for key in arrays if key not in known]
+        if unknown:
+            raise DataError(f"checkpoint holds entry {unknown[0]!r}, unknown to the model")
 
         def entry(key, shape):
             if key not in arrays:
@@ -395,34 +399,35 @@ def complex_loss(s_clean, s_hat, c, beta):
 class Adam:
     """Bias-corrected Adam applied independently to real and imaginary parts."""
 
-    def __init__(self, named_params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, named_params, lr):
         self.params = list(named_params)
         self.lr = float(lr)
-        self.beta1, self.beta2, self.eps = float(beta1), float(beta2), float(eps)
         self.t = 0
-        self.state = {
-            name: [np.zeros_like(p.real), np.zeros_like(p.real),
-                   np.zeros_like(p.imag), np.zeros_like(p.imag)]
-            for name, p in self.params
-        }
+        self.state = [
+            [np.zeros_like(p.real), np.zeros_like(p.real),
+             np.zeros_like(p.imag), np.zeros_like(p.imag)]
+            for _, p in self.params
+        ]
 
     def step(self, grads):
-        """Apply one update from ``{name: (grad_real, grad_imag)}``."""
+        """Apply one update from ``(grad_real, grad_imag)`` pairs, one per
+        parameter in order, as :func:`ctensor.gradients` returns them."""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
-        for name, p in self.params:
-            gr, gi = grads[name]
+        per_param = zip(self.params, grads, self.state, strict=True)
+        for (name, p), (gr, gi), (mr, vr, mi, vi) in per_param:
             if not (np.all(np.isfinite(gr)) and np.all(np.isfinite(gi))):
                 raise TrainingError(f"non-finite gradient for parameter {name!r}")
-            mr, vr, mi, vi = self.state[name]
             mr[:] = b1 * mr + (1 - b1) * gr
             vr[:] = b2 * vr + (1 - b2) * gr * gr
             mi[:] = b1 * mi + (1 - b1) * gi
             vi[:] = b2 * vi + (1 - b2) * gi * gi
-            p.real = p.real - self.lr * (mr / bc1) / (np.sqrt(vr / bc2) + self.eps)
-            p.imag = p.imag - self.lr * (mi / bc1) / (np.sqrt(vi / bc2) + self.eps)
+            p.real = p.real - self.lr * (mr / bc1) / (np.sqrt(vr / bc2) + self.EPS)
+            p.imag = p.imag - self.lr * (mi / bc1) / (np.sqrt(vi / bc2) + self.EPS)
             if not (np.all(np.isfinite(p.real)) and np.all(np.isfinite(p.imag))):
                 raise TrainingError(f"non-finite value in parameter {name!r} after update")
 
@@ -453,7 +458,8 @@ def _spectral_front_end(wf: WaveForm, cfg: ModelConfig):
 def load_training_images(manifest_path, cfg: ModelConfig, log=None):
     """Manifest -> aligned (input, raw reverberant, target) spectral image lists.
 
-    Corrupt pairs are skipped with a warning; if every pair is skipped a
+    Corrupt pairs, and pairs whose clean and reverberant WAVs differ in
+    length, are skipped with a warning; if every pair is skipped a
     DataError names the first skip reason.  Without PSD smoothing ``inputs``
     and ``raws`` hold the same image objects.
     """
@@ -466,6 +472,9 @@ def load_training_images(manifest_path, cfg: ModelConfig, log=None):
             reverb = read_wav(row["reverb_path"], expected_rate=cfg.sample_rate)
             _, img_in, img_x = _spectral_front_end(reverb, cfg)
             img_s = make_spectral_images(stft(clean, cfg.signal_config()), cfg.image_frames)
+            if len(clean) != len(reverb):
+                raise DataError(f"{row['clean_path']} holds {len(clean)} samples but "
+                                f"{row['reverb_path']} holds {len(reverb)}")
         except (OSError, DataError, ContractError, ShapeError) as exc:
             reason = str(exc)  # read_wav's messages name the file at fault
             if row["clean_path"] not in reason and row["reverb_path"] not in reason:
@@ -527,7 +536,7 @@ def train(model: DccrnModel, manifest_path, out_dir, log=None):
                 return loss
 
             loss, grads = ct.gradients(build_loss, params)
-            adam.step({name: g for (name, _), g in zip(named, grads)})
+            adam.step(grads)
             loss_rows.append((step, epoch, float(loss.real)))
             step += 1
         if log is not None and cfg.epochs:

@@ -4,7 +4,6 @@ import pytest
 
 from dereverb.config import (
     build_config,
-    config_to_text,
     load_model_config,
     load_synth_config,
     parse_kv_text,
@@ -103,10 +102,21 @@ class TestModelConfigLoading:
             load_model_config(path)
 
     def test_roundtrip_through_text(self, tmp_path):
-        cfg = ModelConfig(epochs=7, attention="conventional")
         path = tmp_path / "cfg.txt"
-        path.write_text(config_to_text(cfg))
-        assert load_model_config(path) == cfg
+        path.write_text(
+            "num_enc_layers = 3\n"
+            "channels = 4,8,16      # a tuple\n"
+            "psd_smoothing_alpha = none\n"
+            "learning_rate = 0.002\n"
+            "bounded_mask = true\n"
+            "attention = conventional\n"
+            "epochs = 7\n"
+        )
+        want = ModelConfig(
+            num_enc_layers=3, channels=(4, 8, 16), psd_smoothing_alpha=None,
+            learning_rate=0.002, bounded_mask=True, attention="conventional", epochs=7,
+        )
+        assert load_model_config(path) == want
 
 
 class TestSynthConfigLoading:

@@ -1,10 +1,11 @@
 """Fuzzed inputs through the CLI: a truncated or byte-flipped checkpoint, WAV
-or manifest must end in exit 0 or 2, never in a traceback.  Mutations are
-seeded; half truncate the file at a random length, half flip one to three
-bytes, mostly inside the file's structured head.  A sweep sets every config
-field to odd values, through ``--set`` and through checkpoint metadata, and
-another makes every path argument missing, a directory, or a file where a
-directory must be made."""
+or manifest must end in exit 0 or 2, never in a traceback.  Training WAVs are
+fuzzed too: a truncated one leaves its pair's two files of different lengths.
+Mutations are seeded; half truncate the file at a random length, half flip
+one to three bytes, mostly inside the file's structured head.  A sweep sets
+every config field to odd values, through ``--set`` and through checkpoint
+metadata, and another makes every path argument missing, a directory, or a
+file where a directory must be made."""
 
 import contextlib
 import copy
@@ -122,6 +123,21 @@ def test_damaged_wav_eval(good, tmp_path):
             "--out", str(tmp_path / "scores.csv")]
     data = (good / "data" / "reverb_0000.wav").read_bytes()
     assert run_fuzz(test / "a.wav", mutations(data, 3, 44), argv) == []
+
+
+def test_damaged_wav_train(good, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(good / "data", data)
+    argv = ["train", "--data", str(data / "manifest.csv"), "--out", str(tmp_path / "run")]
+    for ov in MODEL_OVERRIDES:
+        argv += ["--set", ov]
+    broken = []
+    for seed, name in ((5, "clean_0000.wav"), (6, "reverb_0000.wav")):
+        wav = data / name
+        original = wav.read_bytes()
+        broken += [f"{name} {case}" for case in run_fuzz(wav, mutations(original, seed, 44), argv)]
+        wav.write_bytes(original)
+    assert broken == []
 
 
 def test_damaged_manifest(good, tmp_path):

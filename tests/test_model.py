@@ -5,10 +5,11 @@ import pytest
 
 from dereverb import ctensor as ct
 from dereverb import model as model_mod
+from dereverb.checkpoint import load_checkpoint, save_checkpoint
 from dereverb.ctensor import ComplexTensor
 from dereverb.datasynth import SynthConfig, generate_dataset
 from dereverb.errors import ConfigError, ContractError, DataError, ShapeError, TrainingError
-from dereverb.gradcheck import finite_difference_gradients, max_relative_error
+from dereverb.gradcheck import check_gradients
 from dereverb.model import (
     Adam,
     DccrnModel,
@@ -19,7 +20,7 @@ from dereverb.model import (
     load_training_images,
     train,
 )
-from dereverb.signal import WaveForm, istft, stft, write_wav
+from dereverb.signal import WaveForm, istft, read_wav, stft, write_wav
 
 
 def tiny_config(**overrides):
@@ -99,9 +100,7 @@ class TestComplexLoss:
         )
         s, t = mk(), mk()
         build = lambda: complex_loss(s, t, 0.3, 0.3)
-        analytic = ct.gradients(build, [t])[1]
-        numeric = finite_difference_gradients(lambda: float(build().real), [t])
-        assert max_relative_error(analytic, numeric) < 1e-4
+        assert check_gradients(build, [t]) < 1e-4
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -112,7 +111,7 @@ class TestAdam:
     def test_first_step_matches_hand_formula(self):
         p = ComplexTensor(np.array([1.0]), np.array([2.0]))
         opt = Adam([("p", p)], lr=1e-3)
-        opt.step({"p": (np.array([1.0]), np.array([0.0]))})
+        opt.step([(np.array([1.0]), np.array([0.0]))])
         m_hat = (0.1 * 1.0) / (1 - 0.9)
         v_hat = (0.001 * 1.0) / (1 - 0.999)
         want = 1.0 - 1e-3 * m_hat / (np.sqrt(v_hat) + 1e-8)
@@ -125,7 +124,7 @@ class TestAdam:
         before = (p.real.copy(), p.imag.copy())
         opt = Adam([("p", p)], lr=0.1)
         for _ in range(5):
-            opt.step({"p": (np.zeros(4), np.zeros(4))})
+            opt.step([(np.zeros(4), np.zeros(4))])
         np.testing.assert_array_equal(p.real, before[0])
         np.testing.assert_array_equal(p.imag, before[1])
 
@@ -137,7 +136,7 @@ class TestAdam:
         opt = Adam([("a", a), ("b", b)], lr=0.01)
         for k in range(7):
             g = (np.full(3, 0.5 + k), np.full(3, -1.0 * k))
-            opt.step({"a": g, "b": (g[0].copy(), g[1].copy())})
+            opt.step([g, (g[0].copy(), g[1].copy())])
         np.testing.assert_array_equal(a.real, b.real)
         np.testing.assert_array_equal(a.imag, b.imag)
 
@@ -145,7 +144,7 @@ class TestAdam:
         p = ComplexTensor(np.array([1.0]))
         opt = Adam([("p", p)], lr=0.1)
         with pytest.raises(TrainingError):
-            opt.step({"p": (np.array([np.nan]), np.array([0.0]))})
+            opt.step([(np.array([np.nan]), np.array([0.0]))])
 
 
 class TestDccrnForward:
@@ -206,9 +205,7 @@ class TestDccrnForward:
             s_hat = ct.cmul(mask, x)
             return complex_loss(target, s_hat, cfg.compress_exponent, cfg.loss_beta)
 
-        analytic = ct.gradients(build, subset)[1]
-        numeric = finite_difference_gradients(lambda: float(build().real), subset)
-        assert max_relative_error(analytic, numeric) < 1e-4
+        assert check_gradients(build, subset) < 1e-4
 
     def test_desk_complex_step_tape_size(self):
         # one node per conv, batchnorm and GRU layer, and 43 per attention
@@ -241,9 +238,7 @@ class TestDccrnForward:
             s_hat = ct.cmul(model.forward(x, training=False), x)
             return complex_loss(target, s_hat, cfg.compress_exponent, cfg.loss_beta)
 
-        analytic = ct.gradients(build, params)[1]
-        numeric = finite_difference_gradients(lambda: float(build().real), params)
-        assert max_relative_error(analytic, numeric) < 1e-4
+        assert check_gradients(build, params) < 1e-4
 
     def test_checkpoint_roundtrip_bit_identical_forward(self, tmp_path):
         cfg = tiny_config()
@@ -259,6 +254,16 @@ class TestDccrnForward:
         after = restored.forward(x)
         assert before.real.tobytes() == after.real.tobytes()
         assert before.imag.tobytes() == after.imag.tobytes()
+
+    def test_checkpoint_entry_unknown_to_model_rejected(self, tmp_path):
+        # metadata edited to a smaller model must not load and drop weights
+        path = tmp_path / "model.ckpt"
+        DccrnModel(tiny_config(attention="complex")).save(path)
+        arrays, meta = load_checkpoint(path)
+        meta["model_config"]["attention"] = "none"
+        save_checkpoint(path, arrays, meta)
+        with pytest.raises(DataError, match=r"model\.ckpt: .*'enc0\.attn\.t\.wq'"):
+            DccrnModel.from_checkpoint(path)
 
     def test_stride_one_config_builds(self):
         cfg = tiny_config(stride=(1, 1))
@@ -377,6 +382,20 @@ class TestTraining:
         short = messages[1]
         assert short.count("clean_0001.wav") == 1 and short.count("reverb_0001.wav") == 1
         assert "shorter than one frame" in short
+
+    def test_pair_of_unequal_lengths_skipped(self, tmp_path):
+        manifest = _make_dataset(tmp_path / "data", n_pairs=2)
+        clean = tmp_path / "data" / "clean_0000.wav"
+        full = read_wav(clean)
+        write_wav(clean, WaveForm(full.samples[: len(full) // 2], full.sample_rate))
+        messages = []
+        inputs, raws, targets, skipped = load_training_images(
+            manifest, tiny_config(), log=messages.append
+        )
+        assert skipped == 1 and len(messages) == 1
+        assert f"{clean} holds {len(full) // 2} samples" in messages[0]
+        assert f"reverb_0000.wav holds {len(full)}" in messages[0]
+        assert len(inputs) == len(raws) == len(targets) > 0
 
     def test_non_finite_loss_leaves_parameters_detached(self, tmp_path, monkeypatch):
         manifest = _make_dataset(tmp_path / "data", n_pairs=1)
