@@ -5,8 +5,9 @@ autocorrelation + Levinson-Durbin (R[0] regularized by 1e-10*R[0]).  Frames
 whose reference energy falls more than 40 dB below the loudest reference
 frame are excluded from every metric, so silence padding does not shift
 scores.  Each metric analyses all of a clip's gated frames at once, as
-[N, frame] arrays.  These are trend metrics: constants are stated here, not
-tuned to any external toolkit.
+[N, frame] arrays, and runs each recursion once over both signals' rows
+stacked.  These are trend metrics: constants are stated here, not tuned to
+any external toolkit.
 """
 
 from __future__ import annotations
@@ -67,18 +68,17 @@ def _autocorr(x):
     )
 
 
-def _lpc(frames):
-    """Levinson-Durbin on every frame at once.
+def _levinson_durbin(r):
+    """Levinson-Durbin on every row of the lags r [N, p+1] at once; rows never mix.
 
-    Returns the regularized autocorrelation r [N, p+1], the predictor
-    coefficients a [N, p] (s[n] ~ sum a_k s[n-k]) and the mask of frames that
-    are not degenerate.  A frame is degenerate from the first step where
-    r[0] <= 0 or the prediction error e <= 0; its row of ``a`` is then
-    meaningless (possibly inf or NaN) and must be dropped by the caller.
+    Regularizes r[:, 0] in place and returns the predictor coefficients a
+    [N, p] (s[n] ~ sum a_k s[n-k]) and the mask of rows that are not
+    degenerate.  A row is degenerate from the first step where r[0] <= 0 or
+    the prediction error e <= 0; its row of ``a`` is then meaningless
+    (possibly inf or NaN) and must be dropped by the caller.
     """
-    r = _autocorr(frames)
     r[:, 0] *= 1.0 + 1e-10
-    a = np.zeros((frames.shape[0], LPC_ORDER))
+    a = np.zeros((r.shape[0], LPC_ORDER))
     e = r[:, 0].copy()
     bad = e <= 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -88,7 +88,7 @@ def _lpc(frames):
             a[:, i] = k
             e = e * (1.0 - k * k)
             bad |= e <= 0.0
-    return r, a, ~bad
+    return a, ~bad
 
 
 def _lpc_cepstrum(a):
@@ -102,12 +102,14 @@ def _lpc_cepstrum(a):
 
 
 def _lpc_pair(ref: WaveForm, test: WaveForm):
-    """LPC analysis of both signals' gated frames: the reference autocorrelation
-    r, the predictors a_ref and a_test, and the mask of frames valid in both."""
+    """LPC analysis of both signals' gated frames in one recursion: the
+    regularized reference autocorrelation r, the predictors a_ref and a_test,
+    and the mask of frames valid in both."""
     fr, ft = _frame_pair(ref, test)
-    r_ref, a_ref, ok_ref = _lpc(fr)
-    _, a_test, ok_test = _lpc(ft)
-    return r_ref, a_ref, a_test, ok_ref & ok_test
+    n = fr.shape[0]
+    r = np.concatenate([_autocorr(fr), _autocorr(ft)])
+    a, ok = _levinson_durbin(r)
+    return r[:n], a[:n], a[n:], ok[:n] & ok[n:]
 
 
 def cepstral_distance(ref: WaveForm, test: WaveForm) -> float:
@@ -115,7 +117,9 @@ def cepstral_distance(ref: WaveForm, test: WaveForm) -> float:
     _, a_ref, a_test, ok = _lpc_pair(ref, test)
     if not ok.any():
         raise ContractError("no valid frames for cepstral distance")
-    d = _lpc_cepstrum(a_ref[ok]) - _lpc_cepstrum(a_test[ok])
+    m = np.count_nonzero(ok)
+    c = _lpc_cepstrum(np.concatenate([a_ref[ok], a_test[ok]]))
+    d = c[:m] - c[m:]
     scale = 10.0 / math.log(10.0)
     return float(np.mean(scale * np.sqrt(2.0 * np.einsum("ij,ij->i", d, d))))
 
@@ -135,10 +139,14 @@ def llr(ref: WaveForm, test: WaveForm, return_skipped=False):
     """
     r_ref, a_ref, a_test, ok = _lpc_pair(ref, test)
     r = r_ref[ok]
-    # error-filter rows [1, -a_1, ..., -a_p] against the reference autocorrelation
-    ones = np.ones((r.shape[0], 1))
-    num = _toeplitz_form(r, np.concatenate([ones, -a_test[ok]], axis=1))
-    den = _toeplitz_form(r, np.concatenate([ones, -a_ref[ok]], axis=1))
+    m = r.shape[0]
+    # error-filter rows [1, -a_1, ..., -a_p] of the test, then the reference
+    # signal, both against the reference autocorrelation
+    v = np.ones((2 * m, LPC_ORDER + 1))
+    v[:m, 1:] = -a_test[ok]
+    v[m:, 1:] = -a_ref[ok]
+    q = _toeplitz_form(np.tile(r, (2, 1)), v)
+    num, den = q[:m], q[m:]
     pos = (num > 0.0) & (den > 0.0)
     skipped = int(ok.size - np.count_nonzero(pos))
     if not pos.any():

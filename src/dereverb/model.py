@@ -320,7 +320,10 @@ class DccrnModel:
             p.real = r.astype(dtype, copy=True)
             p.imag = i.astype(dtype, copy=True)
         for name, b in self.buffers():
-            b[...] = entry(f"buffer.{name}", b.shape)[0]
+            r, i = entry(f"buffer.{name}", b.shape)
+            if i.any():
+                raise DataError(f"checkpoint entry 'buffer.{name}' has a nonzero imaginary part")
+            b[...] = r
 
     @classmethod
     def from_checkpoint(cls, path):

@@ -280,6 +280,25 @@ class TestEnhance:
         assert rc == 2
         assert "enc0.bn.run_vrr" in capsys.readouterr().err
 
+    def test_nonzero_buffer_imaginary_part_is_data_error(self, tmp_path, capsys):
+        ckpt = self._checkpoint(tmp_path)
+        arrays, meta = load_checkpoint(ckpt)
+        real, imag = arrays["buffer.enc0.bn.run_vrr"]
+        imag = imag.copy()
+        imag[0] = 7.0
+        arrays["buffer.enc0.bn.run_vrr"] = (real, imag)
+        save_checkpoint(ckpt, arrays, meta)
+        write_wav(tmp_path / "in.wav", WaveForm(np.zeros(300), 500))
+        rc = main(
+            ["enhance", "--ckpt", str(ckpt), "--in", str(tmp_path / "in.wav"),
+             "--out", str(tmp_path / "out.wav")]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'buffer.enc0.bn.run_vrr'" in err and "imaginary" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "out.wav").exists()
+
 
     @pytest.mark.parametrize(
         "field,value",

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from dereverb import metrics
 from dereverb.errors import ContractError
-from dereverb.metrics import cepstral_distance, fwsegsnr, llr
+from dereverb.metrics import cepstral_distance, evaluate_pair, fwsegsnr, llr
 from dereverb.signal import WaveForm
 
 FS = 4000
@@ -310,3 +311,123 @@ class TestSharedInvariances:
     def test_rate_mismatch_rejected(self):
         with pytest.raises(ContractError):
             cepstral_distance(WaveForm(np.ones(2000), 4000), WaveForm(np.ones(2000), 8000))
+
+
+class TestEvaluatePair:
+    """Each metric's own result and errors, and each recursion run once over
+    both signals' rows stacked."""
+
+    @staticmethod
+    def _pairs():
+        pairs = []
+        for fs, n in ((FS, 3000), (16000, 4000)):
+            rng = np.random.default_rng(fs + 150)
+            ref = tone_like(rng, n, lead_silence=n // 8, fs=fs)
+            echo = np.convolve(ref, np.exp(-np.arange(fs // 10) / (fs / 40)))[: ref.size]
+            pairs += [
+                (ref, ref + 0.002 * rng.standard_normal(ref.size), fs),
+                (ref, 0.2 * echo, fs),
+                (ref, ref + 0.2 * rng.standard_normal(ref.size), fs),
+                (*TestDegenerateFrames._zeroed_and_dc_step(fs, n), fs),
+            ]
+        return pairs
+
+    def test_equals_each_metric_alone(self):
+        skipped_pairs = 0
+        for ref, test, fs in self._pairs():
+            r, t = WaveForm(ref.copy(), fs), WaveForm(test.copy(), fs)
+            got = evaluate_pair(r, t)
+            assert np.array_equal(r.samples, ref) and np.array_equal(t.samples, test)
+            assert got["cd"] == cepstral_distance(r, t)
+            value, skipped = llr(r, t, return_skipped=True)
+            assert got["llr"] == value
+            assert got["fwsegsnr"] == fwsegsnr(r, t)
+            skipped_pairs += skipped > 0
+        assert skipped_pairs == 2  # the zeroed stretches give degenerate, skipped frames
+
+    @pytest.mark.parametrize(
+        "case,patched,message",
+        [
+            ("silent_ref", (), "reference signal is silent; metrics undefined"),
+            ("zero_test", (), "no valid frames for cepstral distance"),
+            ("short", (), "signals shorter than one 32 ms frame (128 samples)"),
+            ("zero_test", ("llr", "fwsegsnr"), "no valid frames for cepstral distance"),
+            ("noisy", ("llr", "fwsegsnr"), "no valid frames for LLR (59 skipped)"),
+            ("noisy", ("fwsegsnr",), "no valid frames for FWSegSNR"),
+        ],
+    )
+    def test_raises_the_first_failing_metrics_error(self, monkeypatch, case, patched, message):
+        ref = tone_like(np.random.default_rng(144), 2000)
+        ref, test = {
+            "silent_ref": (np.zeros(2000), ref),
+            "zero_test": (ref, np.zeros(2000)),
+            "short": (ref[: FRAME - 1], ref[: FRAME - 1]),
+            "noisy": (ref, ref + 0.1 * np.random.default_rng(145).standard_normal(2000)),
+        }[case]
+        # make LLR's quadratic forms, or FWSegSNR's band weights, all zero
+        if "llr" in patched:
+            monkeypatch.setattr(metrics, "_toeplitz_form", lambda r, v: np.zeros(r.shape[0]))
+        if "fwsegsnr" in patched:
+            monkeypatch.setattr(
+                metrics, "_mel_filterbank", lambda n, nfft, fs: np.zeros((n, nfft // 2 + 1))
+            )
+        r, t = WaveForm(ref, FS), WaveForm(test, FS)
+        first = None
+        for metric in (cepstral_distance, llr, fwsegsnr):
+            try:
+                metric(r, t)
+            except ContractError as exc:
+                first = str(exc)
+                break
+        assert first == message
+        with pytest.raises(ContractError) as info:
+            evaluate_pair(r, t)
+        assert str(info.value) == message
+
+    def test_stacked_recursions_equal_separate_calls_bit_for_bit(self):
+        ref, test = TestDegenerateFrames._zeroed_and_dc_step(FS, 3000)
+        fr, ft = metrics._frame_pair(WaveForm(ref, FS), WaveForm(test, FS))
+        lags = [metrics._autocorr(fr), metrics._autocorr(ft)]
+        stacked = np.concatenate(lags)
+        a, ok = metrics._levinson_durbin(stacked)
+        n = fr.shape[0]
+        assert not ok[n:].all()  # the zeroed stretch gives degenerate rows
+        for half, r in zip((slice(None, n), slice(n, None)), lags):
+            a_alone, ok_alone = metrics._levinson_durbin(r)
+            assert np.array_equal(stacked[half], r)  # both regularized in place
+            assert np.array_equal(ok[half], ok_alone)
+            assert np.array_equal(a[half][ok_alone], a_alone[ok_alone])
+        a_ref, a_test = a[:n][ok[:n] & ok[n:]], a[n:][ok[:n] & ok[n:]]
+        c = metrics._lpc_cepstrum(np.concatenate([a_ref, a_test]))
+        m = a_ref.shape[0]
+        assert np.array_equal(c[:m], metrics._lpc_cepstrum(a_ref))
+        assert np.array_equal(c[m:], metrics._lpc_cepstrum(a_test))
+        r = lags[0][ok[:n] & ok[n:]]
+        v = np.ones((2 * m, metrics.LPC_ORDER + 1))
+        v[:m, 1:], v[m:, 1:] = -a_test, -a_ref
+        q = metrics._toeplitz_form(np.tile(r, (2, 1)), v)
+        assert np.array_equal(q[:m], metrics._toeplitz_form(r, v[:m]))
+        assert np.array_equal(q[m:], metrics._toeplitz_form(r, v[m:]))
+
+    def test_one_framing_and_one_recursion_per_metric(self, monkeypatch):
+        names = ("_frame_pair", "_levinson_durbin", "_lpc_cepstrum", "_toeplitz_form")
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            inner = getattr(metrics, name)
+
+            def counted(*args, _inner=inner, _name=name):
+                calls[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(metrics, name, counted)
+        ref, test, fs = self._pairs()[2]
+        r, t = WaveForm(ref, fs), WaveForm(test, fs)
+        for metric, want in (
+            (cepstral_distance, (1, 1, 1, 0)),
+            (llr, (1, 1, 0, 1)),
+            (fwsegsnr, (1, 0, 0, 0)),
+            (evaluate_pair, (3, 2, 1, 1)),
+        ):
+            calls.update(dict.fromkeys(names, 0))
+            metric(r, t)
+            assert tuple(calls.values()) == want, metric.__name__
