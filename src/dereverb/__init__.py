@@ -4,14 +4,13 @@ __version__ = "0.1.0"
 
 from .ctensor import ComplexTensor, GradTape
 from .model import DccrnModel, ModelConfig, complex_loss, enhance_waveform, train
-from .signal import SignalConfig, Spectrogram, WaveForm
+from .signal import Spectrogram, WaveForm
 
 __all__ = [
     "ComplexTensor",
     "GradTape",
     "DccrnModel",
     "ModelConfig",
-    "SignalConfig",
     "Spectrogram",
     "WaveForm",
     "complex_loss",

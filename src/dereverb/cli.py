@@ -72,6 +72,10 @@ def _build_parser():
     return parser
 
 
+# built once per process: parse_args leaves the parser and its defaults as they were
+_PARSER = _build_parser()
+
+
 def _write_run_record(path, command, argv, settings, outputs):
     record = {
         "command": command,
@@ -179,9 +183,8 @@ _DISPATCH = {
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return _DISPATCH[args.cmd](args, argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

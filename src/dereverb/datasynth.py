@@ -1,10 +1,9 @@
 """Synthetic reverberant/clean pair generation.
 
-Room responses are exponentially decaying Gaussian noise tails scaled so the
-envelope drops 60 dB over T60; clean signals are deterministic AM/FM
-harmonic tones with pauses.  Every pair derives its own seed from
-(master seed, pair index), so generation is reproducible item by item and
-independent of worker count.
+Room responses are a direct-path impulse followed by a Gaussian noise tail
+whose envelope falls 60 dB over T60, cut at T60; clean signals are
+deterministic AM/FM harmonic tones with pauses.  Every pair derives its own
+seed from (master seed, pair index), so each pair can be regenerated alone.
 
 Manifest: CSV with header ``clean_path,reverb_path,t60_s,snr_db,seed``;
 paths are relative to the manifest's directory, ``snr_db`` is empty when no
@@ -25,24 +24,6 @@ from .errors import ConfigError, ContractError, DataError
 from .signal import WaveForm, write_wav
 
 MANIFEST_HEADER = ["clean_path", "reverb_path", "t60_s", "snr_db", "seed"]
-
-
-@dataclass
-class RirSpec:
-    """Decaying-noise room impulse response parameters."""
-
-    t60: float
-    length: int
-    sample_rate: int
-    direct_path_gain: float = 1.0
-    seed: int = 0
-
-    def validate(self):
-        if not self.t60 > 0:
-            raise ContractError(f"t60 must be positive, got {self.t60}")
-        if self.length < 1:
-            raise ContractError(f"RIR length must be >= 1, got {self.length}")
-        return self
 
 
 @dataclass
@@ -70,23 +51,26 @@ class SynthConfig:
         return self
 
 
-def synth_rir(spec: RirSpec) -> WaveForm:
-    """Direct path impulse followed by an exp-decaying Gaussian tail.
+def synth_rir(t60, length, sample_rate, direct_path_gain=1.0, seed=0) -> WaveForm:
+    """``length`` samples: a direct-path impulse of ``direct_path_gain``, then
+    a Gaussian tail drawn from ``seed`` under an exponential envelope.
 
     The decay constant tau = T60 / (3 ln 10) puts the envelope exactly
-    60 dB down at t = T60.
+    60 dB down at t = T60 seconds.
     """
-    spec.validate()
-    rng = np.random.default_rng(spec.seed)
-    h = np.zeros(spec.length)
-    h[0] = spec.direct_path_gain
-    if spec.length > 1:
-        tau = spec.t60 / (3.0 * math.log(10.0))
-        n = np.arange(1, spec.length)
-        h[1:] = rng.standard_normal(spec.length - 1) * np.exp(
-            -n / (spec.sample_rate * tau)
+    if not t60 > 0:
+        raise ContractError(f"t60 must be positive, got {t60}")
+    if length < 1:
+        raise ContractError(f"RIR length must be >= 1, got {length}")
+    h = np.zeros(length)
+    h[0] = direct_path_gain
+    if length > 1:
+        tau = t60 / (3.0 * math.log(10.0))
+        n = np.arange(1, length)
+        h[1:] = np.random.default_rng(seed).standard_normal(length - 1) * np.exp(
+            -n / (sample_rate * tau)
         )
-    return WaveForm(h, spec.sample_rate)
+    return WaveForm(h, sample_rate)
 
 
 def _fft_convolve(a, b):
@@ -170,7 +154,8 @@ def make_pair(pair_seed, cfg: SynthConfig):
     """Build one (clean, reverb, t60) triple from a single pair seed.
 
     Draw order from the pair rng is fixed: clean signal, T60, RIR seed,
-    noise seed.  Both waveforms are scaled by a common factor bringing the
+    noise seed.  The RIR holds round(T60 * sample_rate) samples, at least
+    one.  Both waveforms are scaled by a common factor bringing the
     pair peak to 0.95 so the clean/reverb gain relation is preserved.
     """
     rng = np.random.default_rng(pair_seed)
@@ -178,15 +163,8 @@ def make_pair(pair_seed, cfg: SynthConfig):
     t60 = rng.uniform(cfg.t60_min, cfg.t60_max)
     rir_seed = int(rng.integers(2**32))
     noise_seed = int(rng.integers(2**32))
-    rir = synth_rir(
-        RirSpec(
-            t60=t60,
-            length=max(1, int(round(t60 * cfg.sample_rate))),
-            sample_rate=cfg.sample_rate,
-            direct_path_gain=cfg.direct_path_gain,
-            seed=rir_seed,
-        )
-    )
+    rir_len = max(1, int(round(t60 * cfg.sample_rate)))
+    rir = synth_rir(t60, rir_len, cfg.sample_rate, cfg.direct_path_gain, rir_seed)
     reverb = reverberate(clean, rir, cfg.snr_db, rng=np.random.default_rng(noise_seed))
     peak = max(np.max(np.abs(clean.samples)), np.max(np.abs(reverb.samples)), 1e-9)
     scale = 0.95 / peak

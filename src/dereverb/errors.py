@@ -22,4 +22,4 @@ class DataError(DereverbError):
 
 
 class TrainingError(DereverbError):
-    """Numerical failure during training (NaN gradients/loss, empty epoch)."""
+    """Numerical failure during training: a non-finite loss, gradient or updated parameter."""

@@ -28,8 +28,8 @@ from .datasynth import read_manifest
 from .errors import ConfigError, ContractError, DataError, ShapeError, TrainingError
 from .layers import ComplexBatchNorm, ComplexGruCell, _conv_out_dim, complex_conv2d, unitary_init
 from .signal import (
-    SignalConfig,
     WaveForm,
+    check_framing,
     istft,
     make_spectral_images,
     psd_smooth,
@@ -99,15 +99,6 @@ class ModelConfig:
     def np_dtype(self):
         return np.float64 if self.dtype == "float64" else np.float32
 
-    def signal_config(self):
-        return SignalConfig(
-            sample_rate=self.sample_rate,
-            frame_len=self.frame_len,
-            hop=self.hop,
-            fft_size=self.fft_size,
-            image_frames=self.image_frames,
-        )
-
     def validate(self):
         if self.num_enc_layers < 1:
             raise ConfigError("num_enc_layers must be >= 1")
@@ -149,7 +140,12 @@ class ModelConfig:
             raise ConfigError(f"dtype must be float64 or float32, got {self.dtype!r}")
         if self.psd_smoothing_alpha is not None and not (0 <= self.psd_smoothing_alpha < 1):
             raise ConfigError("psd_smoothing_alpha must lie in [0, 1)")
-        self.signal_config().validate()
+        check_framing(self.frame_len, self.hop, self.fft_size, ConfigError)
+        if self.image_frames < 1 or self.sample_rate < 1:
+            raise ConfigError(
+                f"image_frames and sample_rate must be >= 1, got {self.image_frames}, "
+                f"{self.sample_rate}"
+            )
         return self
 
 
@@ -450,7 +446,7 @@ def _spectral_front_end(wf: WaveForm, cfg: ModelConfig):
     multiplies.  PSD smoothing, when enabled, shapes the network input only;
     without it ``images_in`` is ``images_x``.
     """
-    spec_x = stft(wf, cfg.signal_config())
+    spec_x = stft(wf, cfg.frame_len, cfg.hop, cfg.fft_size)
     images_x = make_spectral_images(spec_x, cfg.image_frames)
     if cfg.psd_smoothing_alpha is None:
         return spec_x, images_x, images_x
@@ -474,7 +470,8 @@ def load_training_images(manifest_path, cfg: ModelConfig, log=None):
             clean = read_wav(row["clean_path"], expected_rate=cfg.sample_rate)
             reverb = read_wav(row["reverb_path"], expected_rate=cfg.sample_rate)
             _, img_in, img_x = _spectral_front_end(reverb, cfg)
-            img_s = make_spectral_images(stft(clean, cfg.signal_config()), cfg.image_frames)
+            spec_s = stft(clean, cfg.frame_len, cfg.hop, cfg.fft_size)
+            img_s = make_spectral_images(spec_s, cfg.image_frames)
             if len(clean) != len(reverb):
                 raise DataError(f"{row['clean_path']} holds {len(clean)} samples but "
                                 f"{row['reverb_path']} holds {len(reverb)}")
@@ -580,7 +577,7 @@ def enhance_waveform(model: DccrnModel, wf: WaveForm) -> WaveForm:
             masked.append(out)
 
     spec_hat = reassemble_spectral_images(masked, spec_x)
-    return istft(spec_hat, length=len(wf))
+    return istft(spec_hat)
 
 
 def enhance_with_identity_mask(wf: WaveForm, cfg: ModelConfig) -> WaveForm:
@@ -590,4 +587,4 @@ def enhance_with_identity_mask(wf: WaveForm, cfg: ModelConfig) -> WaveForm:
     """
     spec_x, _, images = _spectral_front_end(wf, cfg)
     spec_hat = reassemble_spectral_images(images, spec_x)
-    return istft(spec_hat, length=len(wf))
+    return istft(spec_hat)

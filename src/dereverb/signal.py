@@ -1,6 +1,7 @@
 """STFT analysis/synthesis, spectral-image batching, masking, PSD smoothing, WAV I/O.
 
-Default framing: 32 ms Hann frames with 75% overlap (hop = frame/4) and
+Framing is Hann-windowed with ``0 < hop <= frame_len <= fft_size``; the
+model's configs use 32 ms frames with 75% overlap (hop = frame/4) and
 fft_size equal to the frame length.  "Spectral images" are fixed-size tiles
 cut from the lower half of the STFT (bins 0 .. fft_size/2 - 1: DC kept,
 Nyquist dropped and restored as zero on reassembly).
@@ -31,34 +32,6 @@ class WaveForm:
 
     def __len__(self):
         return self.samples.size
-
-
-@dataclass
-class SignalConfig:
-    """Framing parameters; frame_len defaults to 32 ms at the sample rate."""
-
-    sample_rate: int = 16000
-    frame_len: int = 512
-    hop: int = 128
-    fft_size: int = 512
-    image_frames: int = 256
-
-    @property
-    def image_bins(self):
-        return self.fft_size // 2
-
-    def validate(self):
-        if not (0 < self.hop <= self.frame_len <= self.fft_size):
-            raise ContractError(
-                f"need 0 < hop <= frame_len <= fft_size, got "
-                f"hop={self.hop}, frame={self.frame_len}, fft={self.fft_size}"
-            )
-        if self.image_frames < 1 or self.sample_rate < 1:
-            raise ContractError(
-                f"image_frames and sample_rate must be >= 1, got {self.image_frames}, "
-                f"{self.sample_rate}"
-            )
-        return self
 
 
 @dataclass
@@ -94,39 +67,42 @@ def hann_window(n):
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def stft(x: WaveForm, cfg: SignalConfig) -> Spectrogram:
-    """Hann-windowed STFT; the tail is zero-padded so all samples are covered."""
-    cfg.validate()
-    n = len(x)
-    if n < cfg.frame_len:
-        raise ContractError(
-            f"signal length {n} is shorter than one frame ({cfg.frame_len})"
+def check_framing(frame_len, hop, fft_size, error=ContractError):
+    """Raise ``error`` unless 0 < hop <= frame_len <= fft_size."""
+    if not (0 < hop <= frame_len <= fft_size):
+        raise error(
+            f"need 0 < hop <= frame_len <= fft_size, got "
+            f"hop={hop}, frame={frame_len}, fft={fft_size}"
         )
-    n_frames = 1 + math.ceil(max(0, n - cfg.frame_len) / cfg.hop)
-    padded_len = (n_frames - 1) * cfg.hop + cfg.frame_len
+
+
+def stft(x: WaveForm, frame_len: int, hop: int, fft_size: int) -> Spectrogram:
+    """Hann-windowed STFT; the tail is zero-padded so all samples are covered."""
+    check_framing(frame_len, hop, fft_size)
+    n = len(x)
+    if n < frame_len:
+        raise ContractError(f"signal length {n} is shorter than one frame ({frame_len})")
+    n_frames = 1 + math.ceil(max(0, n - frame_len) / hop)
+    padded_len = (n_frames - 1) * hop + frame_len
     sig = np.zeros(padded_len)
     sig[:n] = x.samples
-    win = hann_window(cfg.frame_len)
-    idx = np.arange(cfg.frame_len)[None, :] + cfg.hop * np.arange(n_frames)[:, None]
+    win = hann_window(frame_len)
+    idx = np.arange(frame_len)[None, :] + hop * np.arange(n_frames)[:, None]
     frames = sig[idx] * win
-    data = np.fft.rfft(frames, n=cfg.fft_size, axis=1)
+    data = np.fft.rfft(frames, n=fft_size, axis=1)
     return Spectrogram(
         data=data,
-        frame_len=cfg.frame_len,
-        hop=cfg.hop,
-        sample_rate=cfg.sample_rate,
-        fft_size=cfg.fft_size,
+        frame_len=frame_len,
+        hop=hop,
+        sample_rate=x.sample_rate,
+        fft_size=fft_size,
         n_samples=n,
     )
 
 
-def istft(spec: Spectrogram, length: int | None = None) -> WaveForm:
-    """Weighted overlap-add inverse; output trimmed to the known length."""
-    if not (0 < spec.hop <= spec.frame_len <= spec.fft_size):
-        raise ContractError(
-            f"inconsistent spectrogram metadata: hop={spec.hop}, "
-            f"frame={spec.frame_len}, fft={spec.fft_size}"
-        )
+def istft(spec: Spectrogram) -> WaveForm:
+    """Weighted overlap-add inverse, trimmed to ``spec.n_samples`` when known."""
+    check_framing(spec.frame_len, spec.hop, spec.fft_size)
     if spec.data.shape[1] != spec.fft_size // 2 + 1:
         raise ContractError(
             f"expected {spec.fft_size // 2 + 1} bins for fft_size {spec.fft_size}, "
@@ -145,13 +121,7 @@ def istft(spec: Spectrogram, length: int | None = None) -> WaveForm:
         wsum[start : start + spec.frame_len] += w2
     good = wsum > 1e-12
     y[good] /= wsum[good]
-    if length is None:
-        length = spec.n_samples if spec.n_samples is not None else total
-    if length <= total:
-        y = y[:length]
-    else:
-        y = np.concatenate([y, np.zeros(length - total)])
-    return WaveForm(y, spec.sample_rate)
+    return WaveForm(y[: spec.n_samples], spec.sample_rate)
 
 
 def make_spectral_images(spec: Spectrogram, image_frames: int) -> list[SpectralImage]:

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import pytest
 import dereverb
 from dereverb.checkpoint import load_checkpoint, save_checkpoint
 from dereverb.cli import main
+from dereverb.errors import DataError
 from dereverb.model import DccrnModel, ModelConfig
 from dereverb.signal import WaveForm, write_wav
 
@@ -304,13 +306,16 @@ class TestEnhance:
         "field,value",
         [("epochs", "x"), ("channels", 5), ("kernel", [3, "3"]), ("bounded_mask", 1),
          ("psd_smoothing_alpha", "0.5"), ("kernel", [3]), ("stride", [0, 2]),
-         ("padding", [1, 1, 1]), ("seed", -1), ("gru_layers", 0)],
+         ("padding", [1, 1, 1]), ("seed", -1), ("gru_layers", 0), ("hop", 200),
+         ("frame_len", 32), ("fft_size", 8), ("image_frames", 0), ("sample_rate", 0)],
     )
     def test_mistyped_model_config_exits_2(self, tmp_path, capsys, field, value):
         ckpt = self._checkpoint(tmp_path)
         arrays, meta = load_checkpoint(ckpt)
         meta["model_config"][field] = value
         save_checkpoint(ckpt, arrays, meta)
+        with pytest.raises(DataError, match=f"^{re.escape(str(ckpt))}: bad model config: "):
+            DccrnModel.from_checkpoint(ckpt)
         write_wav(tmp_path / "in.wav", WaveForm(np.zeros(300), 500))
         rc = main(
             ["enhance", "--ckpt", str(ckpt), "--in", str(tmp_path / "in.wav"),
@@ -318,6 +323,7 @@ class TestEnhance:
         )
         assert rc == 2
         err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: bad model config: ")
         assert "model.ckpt" in err and field in err and len(err.strip().splitlines()) == 1
 
 
@@ -418,6 +424,22 @@ class TestGradcheckCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: seed must be >= 0, got -1\n"
+
+
+def test_every_export_resolves():
+    namespace = {}
+    exec("from dereverb import *", namespace)
+    assert set(dereverb.__all__) <= set(namespace)
+
+
+def test_successive_calls_keep_overrides_apart(tmp_path, capsys):
+    # the parser is built once per process; one call's --set must not reach the next
+    assert main([*synth_args(tmp_path / "a"), "--set", "bogus=1"]) == 2
+    assert "bogus" in capsys.readouterr().err
+    assert main(synth_args(tmp_path / "b")) == 0
+    record = json.loads((tmp_path / "b" / "run.json").read_text())
+    assert record["argv"] == synth_args(tmp_path / "b")
+    assert record["resolved_settings"]["sample_rate"] == 500
 
 
 class TestUsageErrors:

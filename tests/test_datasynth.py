@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dereverb.datasynth import (
-    RirSpec,
     SynthConfig,
     generate_dataset,
     make_pair,
@@ -19,7 +18,7 @@ from dereverb.signal import WaveForm, read_wav
 
 class TestSynthRir:
     def test_length_one_is_pure_direct_path(self):
-        h = synth_rir(RirSpec(t60=0.5, length=1, sample_rate=4000))
+        h = synth_rir(t60=0.5, length=1, sample_rate=4000)
         np.testing.assert_array_equal(h.samples, [1.0])
 
     def test_envelope_decays_60db_at_t60(self):
@@ -31,7 +30,7 @@ class TestSynthRir:
 
     def test_tail_follows_envelope(self):
         fs, t60 = 4000, 0.4
-        h = synth_rir(RirSpec(t60=t60, length=int(t60 * fs), sample_rate=fs, seed=3))
+        h = synth_rir(t60=t60, length=int(t60 * fs), sample_rate=fs, seed=3)
         tau = t60 / (3 * np.log(10))
         n = np.arange(1, len(h))
         whitened = h.samples[1:] / np.exp(-n / (fs * tau))
@@ -39,16 +38,16 @@ class TestSynthRir:
         assert abs(np.std(whitened) - 1.0) < 0.1
 
     def test_deterministic_per_seed(self):
-        spec = RirSpec(t60=0.3, length=512, sample_rate=4000, seed=11)
-        a = synth_rir(spec)
-        b = synth_rir(spec)
+        spec = dict(t60=0.3, length=512, sample_rate=4000, seed=11)
+        a = synth_rir(**spec)
+        b = synth_rir(**spec)
         assert a.samples.tobytes() == b.samples.tobytes()
 
     def test_invalid_spec(self):
         with pytest.raises(ContractError):
-            synth_rir(RirSpec(t60=0.0, length=10, sample_rate=4000))
+            synth_rir(t60=0.0, length=10, sample_rate=4000)
         with pytest.raises(ContractError):
-            synth_rir(RirSpec(t60=0.5, length=0, sample_rate=4000))
+            synth_rir(t60=0.5, length=0, sample_rate=4000)
 
 
 class TestReverberate:

@@ -1,11 +1,12 @@
 """STFT framing, spectral images, masking, smoothing, WAV I/O."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from dereverb.errors import ContractError, ShapeError
 from dereverb.signal import (
-    SignalConfig,
     Spectrogram,
     WaveForm,
     apply_mask,
@@ -19,7 +20,8 @@ from dereverb.signal import (
     write_wav,
 )
 
-CFG = SignalConfig(sample_rate=4000, frame_len=128, hop=32, fft_size=128, image_frames=64)
+CFG = SimpleNamespace(sample_rate=4000, frame_len=128, hop=32, fft_size=128, image_frames=64)
+FRAMING = (CFG.frame_len, CFG.hop, CFG.fft_size)
 
 
 def naive_frame_dft(frame, fft_size):
@@ -38,14 +40,14 @@ def naive_frame_dft(frame, fft_size):
 
 class TestStft:
     def test_zero_signal(self):
-        spec = stft(WaveForm(np.zeros(1000), 4000), CFG)
+        spec = stft(WaveForm(np.zeros(1000), 4000), *FRAMING)
         assert spec.n_bins == CFG.fft_size // 2 + 1
         np.testing.assert_array_equal(spec.data, 0)
 
     def test_impulse_matches_naive_dft(self):
         sig = np.zeros(256)
         sig[0] = 1.0
-        spec = stft(WaveForm(sig, 4000), CFG)
+        spec = stft(WaveForm(sig, 4000), *FRAMING)
         win = hann_window(CFG.frame_len)
         want = naive_frame_dft(sig[: CFG.frame_len] * win, CFG.fft_size)
         np.testing.assert_allclose(spec.data[0], want, atol=1e-9)
@@ -53,7 +55,7 @@ class TestStft:
     def test_random_signal_matches_naive_dft(self):
         rng = np.random.default_rng(80)
         sig = rng.standard_normal(CFG.sample_rate)  # 1 s
-        spec = stft(WaveForm(sig, 4000), CFG)
+        spec = stft(WaveForm(sig, 4000), *FRAMING)
         win = hann_window(CFG.frame_len)
         padded = np.zeros((spec.n_frames - 1) * CFG.hop + CFG.frame_len)
         padded[: sig.size] = sig
@@ -65,18 +67,18 @@ class TestStft:
 
     def test_tail_padding_covers_all_samples(self):
         n = CFG.frame_len + CFG.hop + 7  # not a whole number of hops
-        spec = stft(WaveForm(np.ones(n), 4000), CFG)
+        spec = stft(WaveForm(np.ones(n), 4000), *FRAMING)
         covered = (spec.n_frames - 1) * CFG.hop + CFG.frame_len
         assert covered >= n
 
     def test_empty_signal_rejected(self):
         with pytest.raises(ContractError):
-            stft(WaveForm(np.zeros(10), 4000), CFG)
+            stft(WaveForm(np.zeros(10), 4000), *FRAMING)
 
     def test_parseval_per_frame(self):
         rng = np.random.default_rng(81)
         sig = rng.standard_normal(2000)
-        spec = stft(WaveForm(sig, 4000), CFG)
+        spec = stft(WaveForm(sig, 4000), *FRAMING)
         win = hann_window(CFG.frame_len)
         n = CFG.fft_size
         padded = np.zeros((spec.n_frames - 1) * CFG.hop + CFG.frame_len)
@@ -95,7 +97,7 @@ class TestIstft:
     def test_roundtrip_interior(self):
         rng = np.random.default_rng(82)
         sig = rng.standard_normal(4000)
-        back = istft(stft(WaveForm(sig, 4000), CFG))
+        back = istft(stft(WaveForm(sig, 4000), *FRAMING))
         assert len(back) == sig.size
         core = slice(CFG.frame_len, sig.size - CFG.frame_len)
         err = np.sqrt(np.mean((back.samples[core] - sig[core]) ** 2))
@@ -103,25 +105,32 @@ class TestIstft:
         assert err / ref < 1e-6
 
     def test_zero_spectrogram(self):
-        spec = stft(WaveForm(np.zeros(1000), 4000), CFG)
+        spec = stft(WaveForm(np.zeros(1000), 4000), *FRAMING)
         out = istft(spec)
         np.testing.assert_array_equal(out.samples, 0)
 
     def test_modified_spectrogram_reanalysis(self):
         rng = np.random.default_rng(83)
         sig = rng.standard_normal(4000)
-        spec = stft(WaveForm(sig, 4000), CFG)
+        spec = stft(WaveForm(sig, 4000), *FRAMING)
         spec.data[:, 5] *= 0.25  # arbitrary consistent modification
         y = istft(spec)
-        spec2 = stft(y, CFG)
+        spec2 = stft(y, *FRAMING)
         y2 = istft(spec2)
         core = slice(CFG.frame_len, sig.size - CFG.frame_len)
         err = np.sqrt(np.mean((y2.samples[core] - y.samples[core]) ** 2))
         ref = np.sqrt(np.mean(y.samples[core] ** 2))
         assert err / ref < 1e-6
 
+    def test_sample_rate_comes_from_the_waveform(self):
+        sig = np.random.default_rng(96).standard_normal(1000)
+        spec = stft(WaveForm(sig, 8000), *FRAMING)
+        assert spec.sample_rate == 8000
+        back = istft(spec)
+        assert back.sample_rate == 8000 and len(back) == sig.size
+
     def test_inconsistent_metadata_rejected(self):
-        spec = stft(WaveForm(np.zeros(1000), 4000), CFG)
+        spec = stft(WaveForm(np.zeros(1000), 4000), *FRAMING)
         spec.hop = spec.frame_len * 2
         with pytest.raises(ContractError):
             istft(spec)
