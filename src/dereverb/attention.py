@@ -1,7 +1,7 @@
 """Time-frequency self-attention mechanisms, interchangeable behind one block.
 
-Three mechanisms operate on a [B, T, F, C] batch of complex feature maps (or
-on one [T, F, C] map) along a chosen axis ("time" or "frequency"):
+Three mechanisms operate on a [B, T, F, C] batch of complex feature maps
+along a chosen axis ("time" or "frequency"):
 
   * Sdab           -- fixed-size fully-connected reweighting per part; the
                       learned weights are not softmax-normalized.
@@ -33,22 +33,18 @@ AXES = ("time", "frequency")
 def _check_input(x, axis):
     if axis not in AXES:
         raise ConfigError(f"axis must be one of {AXES}, got {axis!r}")
-    if x.ndim not in (3, 4):
-        raise ShapeError(f"attention input must be rank 3 or 4, got {x.shape}")
+    if x.ndim != 4:
+        raise ShapeError(f"attention input must be a [B, T, F, C] batch, got {x.shape}")
 
 
 def _to_rows(x, axis):
-    """[B, T, F, C] -> (rows [B, L, D], undo) where L is the chosen axis.
-
-    One [T, F, C] map gives rows [1, L, D], and ``undo`` gives it back its rank.
-    """
-    b = x.shape[0] if x.ndim == 4 else 1
-    t, f, c = x.shape[-3:]
+    """[B, T, F, C] -> (rows [B, L, D], undo) where L is the chosen axis."""
+    b, t, f, c = x.shape
     if axis == "time":
         rows = ct.reshape(x, (b, t, f * c))
         undo = lambda m: ct.reshape(m, x.shape)
     else:
-        swap = (0, 2, 1, 3) if x.ndim == 4 else (1, 0, 2)
+        swap = (0, 2, 1, 3)
         perm = ct.permute(x, swap)
         rows = ct.reshape(perm, (b, f, t * c))
         undo = lambda m: ct.permute(ct.reshape(m, perm.shape), swap)
@@ -67,7 +63,7 @@ class _ProjectedSA:
         self.channels_cc = int(channels_cc)
         shape = (self.channels_cc, self.channels_cc)
         self.proj = {
-            (axis, name): ComplexTensor(*self._init(shape, rng, dtype=dtype))
+            (axis, name): self._init(shape, rng, dtype=dtype)
             for axis in AXES
             for name in ("q", "k", "v")
         }
@@ -80,23 +76,19 @@ class _ProjectedSA:
         ]
 
     def _project(self, x, axis, name):
-        flat = ct.reshape(x, x.shape[:-3] + (-1, self.channels_cc))
+        flat = ct.reshape(x, (x.shape[0], -1, self.channels_cc))
         return ct.reshape(self._product(flat, self.proj[(axis, name)]), x.shape)
 
     def branch(self, x, axis, collect=None):
-        """Attention along ``axis`` of a [T, F, C] map or a [B, T, F, C] batch.
+        """Attention along ``axis`` of a [B, T, F, C] batch.
 
-        ``collect`` receives the attention maps, [L, L] for one map and
-        [B, L, L] for a batch.
+        ``collect`` receives the attention maps, [B, L, L].
         """
         _check_input(x, axis)
         q, _ = _to_rows(self._project(x, axis, "q"), axis)
         k, _ = _to_rows(self._project(x, axis, "k"), axis)
         v, undo = _to_rows(self._project(x, axis, "v"), axis)
-        maps = None if collect is None else {}
-        w = self._weights(q, k, maps)
-        if maps:
-            collect.update((key, m if x.ndim == 4 else m[0]) for key, m in maps.items())
+        w = self._weights(q, k, collect)
         return undo(self._product(w, v))
 
     __call__ = branch
@@ -146,11 +138,8 @@ class Sdab:
         self.fc = {}
         self.bias = {}
         for axis, dim in (("time", self.t_dim), ("frequency", self.f_dim)):
-            wr, wi = orthogonal_pair_init((dim, dim), rng, dtype=dtype)
-            self.fc[axis] = ComplexTensor(wr, wi)
-            self.bias[axis] = ComplexTensor(
-                np.zeros((dim, 1), dtype=dtype), np.zeros((dim, 1), dtype=dtype)
-            )
+            self.fc[axis] = orthogonal_pair_init((dim, dim), rng, dtype=dtype)
+            self.bias[axis] = ComplexTensor(np.zeros((dim, 1), dtype=dtype))
 
     def parameters(self):
         out = []
@@ -160,7 +149,7 @@ class Sdab:
         return out
 
     def branch(self, x, axis, collect=None):
-        """Reweighting along ``axis`` of a [T, F, C] map or a [B, T, F, C] batch."""
+        """Reweighting along ``axis`` of a [B, T, F, C] batch."""
         _check_input(x, axis)
         t, f = x.shape[-3:-1]
         if (t, f) != (self.t_dim, self.f_dim):
@@ -206,7 +195,7 @@ class TFAttentionBlock:
         return self.mechanism.parameters()
 
     def __call__(self, x):
-        """The block on a [T, F, C] map or a [B, T, F, C] batch."""
+        """The block on a [B, T, F, C] batch."""
         bt = self.mechanism.branch(x, "time")
         bf = self.mechanism.branch(x, "frequency")
         return ct.add(x, ct.scale(ct.add(bt, bf), 0.5))

@@ -142,12 +142,12 @@ def gru_scenario(rng):
     return loss, [x] + [p for _, p in cell.parameters()]
 
 
-def _attention_scenario(variant, batch=None):
-    """A block on a [T, F, C] map, or on a [B, T, F, C] batch as the model runs it."""
+def _attention_scenario(variant, batch):
+    """A block on a [B, T, F, C] batch, as the model runs it."""
 
     def factory(rng):
         block = TFAttentionBlock(variant, 2, 3, 3, rng=rng)
-        x = _tensor(rng, *((batch,) if batch else ()), 3, 3, 2)
+        x = _tensor(rng, batch, 3, 3, 2)
 
         def loss():
             return ct.sum_abs2(block(x))
@@ -172,9 +172,9 @@ SCENARIOS = [
     ("complex_conv_transpose2d", conv_transpose2d_scenario),
     ("complex_batchnorm (training)", batchnorm_scenario),
     ("complex_gru_run (3 steps)", gru_scenario),
-    ("attention: sdab", _attention_scenario("sdab")),
-    ("attention: conventional", _attention_scenario("conventional")),
-    ("attention: complex", _attention_scenario("complex")),
+    ("attention: sdab", _attention_scenario("sdab", batch=1)),
+    ("attention: conventional", _attention_scenario("conventional", batch=1)),
+    ("attention: complex", _attention_scenario("complex", batch=1)),
     ("compressed complex loss", compressed_loss_scenario),
     ("attention: complex, rank 4 (B=2)", _attention_scenario("complex", batch=2)),
     ("complex_batchnorm (eval)", _moved_batchnorm_scenario(False, batch=2)),

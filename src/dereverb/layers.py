@@ -1,7 +1,7 @@
 """Complex-valued neural layers built on the autodiff tape.
 
 Layout conventions:
-  * feature maps are channels-last, [T, F, C] or [B, T, F, C], where C counts
+  * feature maps are channels-last batches [B, T, F, C], where C counts
     COMPLEX channels (the stacked real/imag channel count is 2C);
   * conv kernels store the complex weight as a ComplexTensor of shape
     [C_out, C_in, K_t, K_f]; its ``.real``/``.imag`` arrays are the two real
@@ -40,7 +40,7 @@ def unitary_init(shape, rng, dtype=np.float64):
 
     ``shape`` is either (rows, cols) or a conv-kernel shape
     (c_out, c_in, k_t, k_f), which is flattened to (c_out, c_in*k_t*k_f).
-    Deterministic for a fixed generator state.  Returns (real, imag).
+    Deterministic for a fixed generator state.
     """
     shape = tuple(int(s) for s in shape)
     if len(shape) == 2:
@@ -51,19 +51,19 @@ def unitary_init(shape, rng, dtype=np.float64):
         raise ShapeError(f"unitary_init expects rank 2 or 4, got {shape}")
 
     w = _semi_unitary(m, n, rng, complex_valued=True).reshape(shape)
-    return tuple(np.ascontiguousarray(part, dtype=dtype) for part in (w.real, w.imag))
+    return ComplexTensor(*(np.ascontiguousarray(part, dtype=dtype) for part in (w.real, w.imag)))
 
 
 def orthogonal_pair_init(shape, rng, dtype=np.float64):
-    """Two independent real (semi-)orthogonal matrices, packed as a pair.
+    """Two independent real (semi-)orthogonal matrices, packed as one tensor.
 
     Used for per-part weights (packed-pair layers) where the real and imag
     arrays act on the real and imaginary branches independently.
     """
-    return tuple(
+    return ComplexTensor(*(
         np.ascontiguousarray(_semi_unitary(*shape, rng, complex_valued=False), dtype=dtype)
         for _ in range(2)
-    )
+    ))
 
 
 def _semi_unitary(m, n, rng, complex_valued):
@@ -150,20 +150,16 @@ def _kernel_grad(cols, gr, gi, k):
     return ga.transpose(3, 2, 0, 1), gb.transpose(3, 2, 0, 1)
 
 
-def _as_batch(a):
-    return a.reshape((-1,) + a.shape[-3:])
-
-
 def _batch_parts(x, channels, what):
-    """The parts of a checked rank-3/4 map as [B,T,F,C] views (rank 3 gets B=1)."""
-    if x.ndim not in (3, 4):
-        raise ShapeError(f"{what} input must be rank 3 or 4, got {x.shape}")
+    """The parts of a checked [B, T, F, C] map."""
+    if x.ndim != 4:
+        raise ShapeError(f"{what} input must be a [B, T, F, C] batch, got {x.shape}")
     if x.shape[-1] != channels:
         raise ShapeError(
             f"channel mismatch: input has {x.shape[-1]} complex channels, "
             f"kernel expects {channels}"
         )
-    return _as_batch(x.real), _as_batch(x.imag)
+    return x.real, x.imag
 
 
 # ---------------------------------------------------------------------------
@@ -172,15 +168,14 @@ def _batch_parts(x, channels, what):
 
 
 def complex_conv2d(x, w, stride=1, padding=0):
-    """Complex 2-D convolution of a [.., T, F, C_in] map by [C_out, C_in, kt, kf].
+    """Complex 2-D convolution of a [B, T, F, C_in] batch by [C_out, C_in, kt, kf].
 
-    Accepts rank-3 (single map) or rank-4 (batched) input; output spatial
-    dims follow the standard (n + 2p - k)//s + 1 rule.
+    Output spatial dims follow the standard (n + 2p - k)//s + 1 rule.
     """
     s, p = _pair(stride), _pair(padding)
     xr, xi = _batch_parts(x, w.shape[1], "conv")
     c_out, k = w.shape[0], w.shape[2:]
-    t_in, f_in = x.shape[-3], x.shape[-2]
+    t_in, f_in = x.shape[1:3]
     if t_in + 2 * p[0] < k[0] or f_in + 2 * p[1] < k[1]:
         raise ShapeError(
             f"spatial dims {t_in}x{f_in} (pad {p[0]},{p[1]}) smaller than kernel "
@@ -189,12 +184,12 @@ def complex_conv2d(x, w, stride=1, padding=0):
 
     blk = _block(w.real, w.imag)
     cols, dims = _im2col(xr, xi, k, s, p, (1, 1), (t_in + 2 * p[0], f_in + 2 * p[1]))
-    yr, yi = _parts(cols @ blk.reshape(cols.shape[1], -1), x.shape[:-3] + dims[1:] + (c_out,))
+    yr, yi = _parts(cols @ blk.reshape(cols.shape[1], -1), dims + (c_out,))
     # the vjps hold shapes only: keeping x alive until backward costs memory
     in_shape = x.shape
 
     def vjp_x(gr, gi):
-        rows = _input_adjoint(_as_batch(gr), _as_batch(gi), blk, s, p, (t_in, f_in))
+        rows = _input_adjoint(gr, gi, blk, s, p, (t_in, f_in))
         return _parts(rows, in_shape)
 
     def vjp_w(gr, gi):
@@ -215,7 +210,7 @@ def complex_conv_transpose2d(x, w, stride, padding, output_spatial):
     t_out, f_out = int(output_spatial[0]), int(output_spatial[1])
     xr, xi = _batch_parts(x, w.shape[0], "conv-transpose")
     c_out, k = w.shape[1], w.shape[2:]
-    t_in, f_in = x.shape[-3], x.shape[-2]
+    t_in, f_in = x.shape[1:3]
     fits = [_conv_out_dim(n, kk, ss, pp) for n, kk, ss, pp in zip((t_out, f_out), k, s, p)]
     if fits != [t_in, f_in]:
         raise ShapeError(
@@ -225,12 +220,12 @@ def complex_conv_transpose2d(x, w, stride, padding, output_spatial):
 
     blk = _block(w.real, -w.imag)
     rows = _input_adjoint(xr, xi, blk, s, p, (t_out, f_out))
-    yr, yi = _parts(rows, x.shape[:-3] + (t_out, f_out, c_out))
+    yr, yi = _parts(rows, (x.shape[0], t_out, f_out, c_out))
     in_shape, padded = x.shape, (t_out + 2 * p[0], f_out + 2 * p[1])
 
     def grads(gr, gi):
         """Gradients of x and w from one im2col of the output gradient."""
-        cols = _im2col(_as_batch(gr), _as_batch(gi), k, s, p, (1, 1), padded)[0]
+        cols = _im2col(gr, gi, k, s, p, (1, 1), padded)[0]
         ga, gb_conj = _kernel_grad(cols, xr, xi, k)
         return [_parts(cols @ blk.reshape(cols.shape[1], -1), in_shape), (ga, -gb_conj)]
 
@@ -292,8 +287,8 @@ class ComplexBatchNorm:
         self.eps = float(eps)
         half = dtype(np.sqrt(0.5))
         self.gamma_d = ComplexTensor(np.full(c, half, dtype=dtype), np.full(c, half, dtype=dtype))
-        self.gamma_o = ComplexTensor(np.zeros(c, dtype=dtype), np.zeros(c, dtype=dtype))
-        self.beta = ComplexTensor(np.zeros(c, dtype=dtype), np.zeros(c, dtype=dtype))
+        self.gamma_o = ComplexTensor(np.zeros(c, dtype=dtype))
+        self.beta = ComplexTensor(np.zeros(c, dtype=dtype))
         self._running = np.tile(
             np.array([init for _, init in _RUNNING_STATS], dtype=dtype)[:, None], (1, c)
         )
@@ -410,13 +405,9 @@ class ComplexGruCell:
         self.input_cc = d
         self.hidden_cc = h
 
-        def mat(rows, cols):
-            wr, wi = unitary_init((rows, cols), rng, dtype=dtype)
-            return ComplexTensor(wr, wi)
-
-        self.w_z, self.w_r, self.w_h = mat(d, h), mat(d, h), mat(d, h)
-        self.u_z, self.u_r, self.u_h = mat(h, h), mat(h, h), mat(h, h)
-        zeros = lambda: ComplexTensor(np.zeros(h, dtype=dtype), np.zeros(h, dtype=dtype))
+        self.w_z, self.w_r, self.w_h = (unitary_init((d, h), rng, dtype=dtype) for _ in range(3))
+        self.u_z, self.u_r, self.u_h = (unitary_init((h, h), rng, dtype=dtype) for _ in range(3))
+        zeros = lambda: ComplexTensor(np.zeros(h, dtype=dtype))
         self.b_z, self.b_r, self.b_h = zeros(), zeros(), zeros()
 
     def parameters(self):

@@ -39,6 +39,11 @@ def _frame_pair(ref: WaveForm, test: WaveForm):
     fs = ref.sample_rate
     frame = int(round(0.032 * fs))
     hop = int(round(0.008 * fs))
+    if frame < LPC_ORDER + 1:
+        raise ContractError(
+            f"{fs} Hz is too low a rate: a 32 ms frame holds {frame} samples, "
+            f"LPC order {LPC_ORDER} needs {LPC_ORDER + 1}"
+        )
     n = min(len(ref), len(test))
     if n < frame:
         raise ContractError(f"signals shorter than one 32 ms frame ({frame} samples)")
@@ -241,6 +246,9 @@ def evaluate_dirs(ref_dir, test_dir) -> MetricReport:
             raise DataError(f"missing test file for {name!r} in {test_dir}")
         ref = read_wav(ref_dir / name)
         test = read_wav(test_path, expected_rate=ref.sample_rate)
-        scores = evaluate_pair(ref, test)
+        try:
+            scores = evaluate_pair(ref, test)
+        except ContractError as exc:
+            raise ContractError(f"{ref_dir / name}, {test_path}: {exc}") from exc
         report.add(Path(name).stem, scores["cd"], scores["llr"], scores["fwsegsnr"])
     return report

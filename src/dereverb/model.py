@@ -154,23 +154,20 @@ class _UNetBlock:
 
     def __init__(self, in_cc, out_cc, spatial_out, cfg, rng, *, transpose):
         dtype = cfg.np_dtype
-
-        def kernel(shape):
-            return ComplexTensor(*unitary_init(shape, rng, dtype=dtype))
-
         self.stride, self.padding = cfg.stride, cfg.padding
         # a transposed conv's kernel is [C_in, C_out, kt, kf] and its output
         # size is fixed here; a conv's is [C_out, C_in, kt, kf]
         self.output_spatial = spatial_out if transpose else None
         kt, kf = cfg.kernel
-        self.conv_w = kernel((in_cc, out_cc, kt, kf) if transpose else (out_cc, in_cc, kt, kf))
+        shape = (in_cc, out_cc, kt, kf) if transpose else (out_cc, in_cc, kt, kf)
+        self.conv_w = unitary_init(shape, rng, dtype=dtype)
         self.attn = None
         if cfg.attention != "none":
             self.attn = TFAttentionBlock(
                 cfg.attention, out_cc, spatial_out[0], spatial_out[1], rng=rng, dtype=dtype
             )
-        self.dense1_w = kernel((out_cc, out_cc, 3, 3))
-        self.dense2_w = kernel((out_cc, 2 * out_cc, 3, 3))
+        self.dense1_w = unitary_init((out_cc, out_cc, 3, 3), rng, dtype=dtype)
+        self.dense2_w = unitary_init((out_cc, 2 * out_cc, 3, 3), rng, dtype=dtype)
         self.bn = ComplexBatchNorm(out_cc, dtype=dtype)
 
     def __call__(self, x, training):
@@ -241,11 +238,8 @@ class DccrnModel:
             self.gru_cells.append(
                 ComplexGruCell(d_in if l == 0 else h_cc, h_cc, rng=rng, dtype=dtype)
             )
-        pr, pi = unitary_init((h_cc, d_in), rng, dtype=dtype)
-        self.gru_proj = ComplexTensor(pr, pi)
-        self.gru_proj_bias = ComplexTensor(
-            np.zeros(d_in, dtype=dtype), np.zeros(d_in, dtype=dtype)
-        )
+        self.gru_proj = unitary_init((h_cc, d_in), rng, dtype=dtype)
+        self.gru_proj_bias = ComplexTensor(np.zeros(d_in, dtype=dtype))
 
         dec_out_cc = in_cc[::-1]  # mirror the encoder input widths
         dec_out_cc[-1] = enc_cc[0]
@@ -259,8 +253,7 @@ class DccrnModel:
             self.decoder.append(block)
             prev_cc = dec_out_cc[j]
 
-        hr, hi = unitary_init((1, prev_cc, 1, 1), rng, dtype=dtype)
-        self.head = ComplexTensor(hr, hi)
+        self.head = unitary_init((1, prev_cc, 1, 1), rng, dtype=dtype)
 
     # -- parameter/buffer plumbing ------------------------------------------
 
@@ -307,18 +300,20 @@ class DccrnModel:
             r, i = arrays[key]
             if r.shape != shape:
                 raise DataError(f"checkpoint entry {key!r} has shape {r.shape}, want {shape}")
+            # a value beyond the model dtype's range casts to inf, caught below
+            with np.errstate(over="ignore"):
+                r, i = r.astype(dtype), i.astype(dtype)
             if not (np.isfinite(r).all() and np.isfinite(i).all()):
                 raise DataError(f"checkpoint entry {key!r} holds non-finite values")
             return r, i
 
         for name, p in self.parameters():
-            r, i = entry(name, p.shape)
-            p.real = r.astype(dtype, copy=True)
-            p.imag = i.astype(dtype, copy=True)
+            p.real, p.imag = entry(name, p.shape)
         for name, b in self.buffers():
-            r, i = entry(f"buffer.{name}", b.shape)
-            if i.any():
-                raise DataError(f"checkpoint entry 'buffer.{name}' has a nonzero imaginary part")
+            key = f"buffer.{name}"
+            r, _ = entry(key, b.shape)
+            if arrays[key][1].any():
+                raise DataError(f"checkpoint entry {key!r} has a nonzero imaginary part")
             b[...] = r
 
     @classmethod
@@ -340,10 +335,7 @@ class DccrnModel:
     # -- forward --------------------------------------------------------------
 
     def forward(self, x, training=False):
-        """Spectral image batch [B,T,F,1] (or [T,F,1]) -> complex mask, same shape."""
-        squeeze = x.ndim == 3
-        if squeeze:
-            x = ct.reshape(x, (1,) + x.shape)
+        """Spectral image batch [B,T,F,1] -> complex mask, same shape."""
         if x.ndim != 4 or x.shape[1:] != (self.cfg.image_frames, self.cfg.image_bins, 1):
             raise ShapeError(
                 f"expected images [B,{self.cfg.image_frames},{self.cfg.image_bins},1], "
@@ -373,7 +365,7 @@ class DccrnModel:
             # bounded magnitude: tanh(|M|) * exp(j arg M)
             bounded = ct.tanh_split(ct.magnitude(mask))
             mask = ct.cmul(bounded, ct.compress_mag(mask, 0.0))
-        return ct.reshape(mask, mask.shape[1:]) if squeeze else mask
+        return mask
 
     __call__ = forward
 

@@ -87,10 +87,10 @@ class TestCriterion2OracleEquivalence:
 
     def test_complex_conv2d(self):
         rng = np.random.default_rng(202)
-        x = rand_ct(rng, 5, 4, 2)
+        x = rand_ct(rng, 1, 5, 4, 2)
         w = rand_ct(rng, 3, 2, 3, 3)
-        got = complex_conv2d(x, w, stride=(1, 2), padding=1).to_complex()
-        xc, wc = x.to_complex(), w.to_complex()
+        got = complex_conv2d(x, w, stride=(1, 2), padding=1).to_complex()[0]
+        xc, wc = x.to_complex()[0], w.to_complex()
         xp = np.zeros((7, 6, 2), dtype=np.complex128)
         xp[1:6, 1:5] = xc
         want = np.zeros_like(got)
@@ -138,9 +138,9 @@ class TestCriterion2OracleEquivalence:
     def test_conventional_sa_forward(self):
         rng = np.random.default_rng(205)
         sa = ConventionalSA(2, rng=rng)
-        x = rand_ct(rng, 4, 3, 2)
-        got = sa.branch(x, "time").to_complex()
-        xc = x.to_complex()
+        x = rand_ct(rng, 1, 4, 3, 2)
+        got = sa.branch(x, "time").to_complex()[0]
+        xc = x.to_complex()[0]
         parts = []
         for part in ("real", "imag"):
             xp = getattr(xc, part)
@@ -159,9 +159,9 @@ class TestCriterion2OracleEquivalence:
     def test_complex_tf_sa_forward(self):
         rng = np.random.default_rng(206)
         sa = ComplexTFSA(2, rng=rng)
-        x = rand_ct(rng, 4, 3, 2)
-        got = sa.branch(x, "time").to_complex()
-        xc = x.to_complex()
+        x = rand_ct(rng, 1, 4, 3, 2)
+        got = sa.branch(x, "time").to_complex()[0]
+        xc = x.to_complex()[0]
         w = {n: sa.proj[("time", n)].to_complex() for n in ("q", "k", "v")}
         flat = xc.reshape(-1, 2)
         q = (flat @ w["q"]).reshape(4, 6)
@@ -182,9 +182,9 @@ class TestCriterion2OracleEquivalence:
     def test_sdab_forward(self):
         rng = np.random.default_rng(207)
         blk = Sdab(4, 3, rng=rng)
-        x = rand_ct(rng, 4, 3, 2)
-        got = blk.branch(x, "frequency").to_complex()
-        xc = x.to_complex().transpose(1, 0, 2).reshape(3, 8)
+        x = rand_ct(rng, 1, 4, 3, 2)
+        got = blk.branch(x, "frequency").to_complex()[0]
+        xc = x.to_complex()[0].transpose(1, 0, 2).reshape(3, 8)
         wr, wi = blk.fc["frequency"].real, blk.fc["frequency"].imag
         br, bi = blk.bias["frequency"].real, blk.bias["frequency"].imag
         want = ((wr @ xc.real + br) + 1j * (wi @ xc.imag + bi)).reshape(3, 4, 2)
@@ -216,18 +216,18 @@ class TestCriterion4AttentionStochasticity:
         conv_sa = ConventionalSA(2, rng=rng)
         cplx_sa = ComplexTFSA(2, rng=rng)
         for trial in range(50):
-            x = rand_ct(rng, 5, 3, 2)
+            x = rand_ct(rng, 1, 5, 3, 2)
             axis = "time" if trial % 2 == 0 else "frequency"
             length = 5 if axis == "time" else 3
             info = {}
             conv_sa.branch(x, axis, collect=info)
             for key in ("weights_real", "weights_imag"):
-                w = info[key]
+                w = info[key][0]
                 np.testing.assert_allclose(w.sum(axis=-1), np.ones(length), atol=1e-9)
                 assert np.all((w >= 0) & (w <= 1))
             info = {}
             cplx_sa.branch(x, axis, collect=info)
-            w = info["weights"]
+            w = info["weights"][0]
             np.testing.assert_allclose(w.sum(axis=-1), np.ones(length), atol=1e-9)
             assert np.all((w >= 0) & (w <= 1))
 

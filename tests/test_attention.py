@@ -12,8 +12,9 @@ from dereverb.attention import (
     count_parameters,
 )
 from dereverb.ctensor import ComplexTensor
-from dereverb.errors import ConfigError, ContractError
+from dereverb.errors import ConfigError, ContractError, ShapeError
 from dereverb.gradcheck import check_gradients
+from dereverb.layers import complex_conv2d, complex_conv_transpose2d
 from dereverb.model import DccrnModel, ModelConfig
 from taped_ops import index_axis, stack
 
@@ -35,15 +36,15 @@ def rows_freq(a):
 
 def per_item_block(block, x):
     """The block as it ran on a [B, T, F, C] batch before it was batched:
-    each item sliced out, run through both branches on its own, and the
-    results stacked.  The tape then sums a weight's gradient over the items
-    last to first."""
+    each item sliced out as a batch of one, run through both branches on its
+    own, and the results stacked.  The tape then sums a weight's gradient over
+    the items last to first."""
     outs = []
     for b in range(x.shape[0]):
-        xb = index_axis(x, 0, b)
+        xb = ct.reshape(index_axis(x, 0, b), (1,) + x.shape[1:])
         bt = block.mechanism.branch(xb, "time")
         bf = block.mechanism.branch(xb, "frequency")
-        outs.append(ct.add(xb, ct.scale(ct.add(bt, bf), 0.5)))
+        outs.append(ct.reshape(ct.add(xb, ct.scale(ct.add(bt, bf), 0.5)), x.shape[1:]))
     return stack(outs, axis=0)
 
 
@@ -70,7 +71,7 @@ class TestConventionalSA:
     def test_single_row_softmax_returns_value_row(self):
         rng = np.random.default_rng(60)
         sa = ConventionalSA(2, rng=rng)
-        x = rand_ct(rng, 1, 3, 2)  # T = 1 along the time axis
+        x = rand_ct(rng, 1, 1, 3, 2)  # T = 1 along the time axis
         out = sa.branch(x, "time").to_complex()
         v = sa._project(x, "time", "v").to_complex()
         np.testing.assert_allclose(out, v, atol=1e-12)
@@ -81,9 +82,9 @@ class TestConventionalSA:
         wq = sa.proj[("time", "q")]
         wq.real[:] = 0.0
         wq.imag[:] = 0.0
-        x = rand_ct(rng, 4, 3, 2)
-        out = sa.branch(x, "time").to_complex()
-        v = rows_time(sa._project(x, "time", "v").to_complex())
+        x = rand_ct(rng, 1, 4, 3, 2)
+        out = sa.branch(x, "time").to_complex()[0]
+        v = rows_time(sa._project(x, "time", "v").to_complex()[0])
         mean_row = v.mean(axis=0)
         want = np.broadcast_to(mean_row, v.shape).reshape(4, 3, 2)
         np.testing.assert_allclose(out, want, atol=1e-12)
@@ -92,11 +93,11 @@ class TestConventionalSA:
     def test_matches_naive_per_row_oracle(self, axis):
         rng = np.random.default_rng(62)
         sa = ConventionalSA(2, rng=rng)
-        x = rand_ct(rng, 3, 2, 2)
-        got = sa.branch(x, axis).to_complex()
+        x = rand_ct(rng, 1, 3, 2, 2)
+        got = sa.branch(x, axis).to_complex()[0]
 
         to_rows = rows_time if axis == "time" else rows_freq
-        xc = x.to_complex()
+        xc = x.to_complex()[0]
         out_parts = []
         for part in ("real", "imag"):
             xp = getattr(xc, part)
@@ -120,11 +121,11 @@ class TestConventionalSA:
         rng = np.random.default_rng(63)
         sa = ConventionalSA(3, rng=rng)
         for _ in range(20):
-            x = rand_ct(rng, 5, 4, 3)
+            x = rand_ct(rng, 1, 5, 4, 3)
             info = {}
             sa.branch(x, "time", collect=info)
             for key in ("weights_real", "weights_imag"):
-                w = info[key]
+                w = info[key][0]
                 np.testing.assert_allclose(w.sum(axis=-1), np.ones(5), atol=1e-9)
                 assert np.all(w >= 0) and np.all(w <= 1)
 
@@ -145,21 +146,21 @@ class TestComplexTFSA:
         # Q = K = [1+1j]: Corr = (1+1j)(1-1j) = 2, W = [1], A = V
         rng = np.random.default_rng(64)
         sa = self._unit_layer(rng)
-        x = ComplexTensor(np.ones((1, 1, 1)), np.ones((1, 1, 1)))
+        x = ComplexTensor(np.ones((1, 1, 1, 1)), np.ones((1, 1, 1, 1)))
         info = {}
         out = sa.branch(x, "time", collect=info).to_complex()
-        assert info["corr"][0, 0] == 2 + 0j
-        np.testing.assert_array_equal(info["weights"], [[1.0]])
+        assert info["corr"][0, 0, 0] == 2 + 0j
+        np.testing.assert_array_equal(info["weights"][0], [[1.0]])
         np.testing.assert_allclose(out, x.to_complex(), atol=1e-15)
 
     def test_forced_expansion(self):
         # Q = [1+1j], K = [1-1j]: Corr = (1+1j) conj(1-1j) = 0+2j, |Corr| = 2
         rng = np.random.default_rng(65)
         sa = self._unit_layer(rng, wk_value=-1j)  # (1+1j) * -1j = 1-1j
-        x = ComplexTensor(np.ones((1, 1, 1)), np.ones((1, 1, 1)))
+        x = ComplexTensor(np.ones((1, 1, 1, 1)), np.ones((1, 1, 1, 1)))
         info = {}
         sa.branch(x, "time", collect=info)
-        assert info["corr"][0, 0] == 0 + 2j
+        assert info["corr"][0, 0, 0] == 0 + 2j
 
     def test_self_correlation_diagonal_real_nonnegative(self):
         rng = np.random.default_rng(66)
@@ -168,10 +169,10 @@ class TestComplexTFSA:
         wk = sa.proj[("time", "k")]
         wk.real[:] = wq.real
         wk.imag[:] = wq.imag
-        x = rand_ct(rng, 4, 3, 2)
+        x = rand_ct(rng, 1, 4, 3, 2)
         info = {}
         sa.branch(x, "time", collect=info)
-        diag = np.diagonal(info["corr"])
+        diag = np.diagonal(info["corr"][0])
         np.testing.assert_allclose(diag.imag, 0.0, atol=1e-10)
         assert np.all(diag.real >= -1e-10)
 
@@ -179,11 +180,11 @@ class TestComplexTFSA:
     def test_matches_termwise_oracle(self, axis):
         rng = np.random.default_rng(67)
         sa = ComplexTFSA(2, rng=rng)
-        x = rand_ct(rng, 4, 3, 2)
-        got = sa.branch(x, axis).to_complex()
+        x = rand_ct(rng, 1, 4, 3, 2)
+        got = sa.branch(x, axis).to_complex()[0]
 
         to_rows = rows_time if axis == "time" else rows_freq
-        xc = x.to_complex()
+        xc = x.to_complex()[0]
         tfc = xc.reshape(-1, 2)
         w = {n: sa.proj[(axis, n)].to_complex() for n in ("q", "k", "v")}
         q = to_rows((tfc @ w["q"]).reshape(xc.shape))
@@ -211,10 +212,10 @@ class TestComplexTFSA:
         rng = np.random.default_rng(68)
         sa = ComplexTFSA(2, rng=rng)
         for _ in range(20):
-            x = rand_ct(rng, 6, 3, 2)
+            x = rand_ct(rng, 1, 6, 3, 2)
             info = {}
             sa.branch(x, "frequency", collect=info)
-            w = info["weights"]
+            w = info["weights"][0]
             np.testing.assert_allclose(w.sum(axis=-1), np.ones(w.shape[0]), atol=1e-9)
             assert np.all(w >= 0) and np.all(w <= 1)
 
@@ -226,7 +227,7 @@ class TestSdab:
         for axis, dim in (("time", 4), ("frequency", 3)):
             blk.fc[axis].real[:] = np.eye(dim)
             blk.fc[axis].imag[:] = np.eye(dim)
-        x = rand_ct(rng, 4, 3, 2)
+        x = rand_ct(rng, 1, 4, 3, 2)
         for axis in ("time", "frequency"):
             out = blk.branch(x, axis)
             np.testing.assert_allclose(out.to_complex(), x.to_complex(), atol=1e-14)
@@ -236,7 +237,7 @@ class TestSdab:
         blk = Sdab(4, 3, rng=rng)
         blk.fc["time"].real[:] = 0.0
         blk.fc["time"].imag[:] = 0.0
-        x = rand_ct(rng, 4, 3, 2)
+        x = rand_ct(rng, 1, 4, 3, 2)
         out = blk.branch(x, "time").to_complex()
         np.testing.assert_array_equal(out, np.zeros_like(out))
 
@@ -245,9 +246,9 @@ class TestSdab:
         blk = Sdab(4, 3, rng=rng)
         blk.bias["time"].real[:] = rng.standard_normal((4, 1))
         blk.bias["time"].imag[:] = rng.standard_normal((4, 1))
-        x = rand_ct(rng, 4, 3, 2)
-        got = blk.branch(x, "time").to_complex()
-        mat = rows_time(x.to_complex())
+        x = rand_ct(rng, 1, 4, 3, 2)
+        got = blk.branch(x, "time").to_complex()[0]
+        mat = rows_time(x.to_complex()[0])
         wr, wi = blk.fc["time"].real, blk.fc["time"].imag
         br, bi = blk.bias["time"].real, blk.bias["time"].imag
         want = (wr @ mat.real + br) + 1j * (wi @ mat.imag + bi)
@@ -257,7 +258,7 @@ class TestSdab:
         rng = np.random.default_rng(72)
         blk = Sdab(4, 3, rng=rng)
         with pytest.raises(ContractError):
-            blk.branch(rand_ct(rng, 5, 3, 2), "time")
+            blk.branch(rand_ct(rng, 1, 5, 3, 2), "time")
 
 
 class TestTFAttentionBlock:
@@ -269,7 +270,7 @@ class TestTFAttentionBlock:
                 wv = block.mechanism.proj[(axis, "v")]
                 wv.real[:] = 0.0
                 wv.imag[:] = 0.0
-            x = rand_ct(rng, 4, 3, 2)
+            x = rand_ct(rng, 1, 4, 3, 2)
             out = block(x)
             np.testing.assert_allclose(out.to_complex(), x.to_complex(), atol=1e-14)
 
@@ -279,14 +280,14 @@ class TestTFAttentionBlock:
         for axis, dim in (("time", 4), ("frequency", 3)):
             block.mechanism.fc[axis].real[:] = np.eye(dim)
             block.mechanism.fc[axis].imag[:] = np.eye(dim)
-        x = rand_ct(rng, 4, 3, 2)
+        x = rand_ct(rng, 1, 4, 3, 2)
         out = block(x).to_complex()
         np.testing.assert_allclose(out, 2.0 * x.to_complex(), atol=1e-13)
 
     def test_recomposes_from_branches(self):
         rng = np.random.default_rng(75)
         block = TFAttentionBlock("complex", 2, 4, 3, rng=rng)
-        x = rand_ct(rng, 4, 3, 2)
+        x = rand_ct(rng, 1, 4, 3, 2)
         got = block(x).to_complex()
         bt = block.mechanism.branch(x, "time").to_complex()
         bf = block.mechanism.branch(x, "frequency").to_complex()
@@ -299,7 +300,7 @@ class TestTFAttentionBlock:
         xb = rand_ct(rng, 2, 3, 3, 2)
         full = block(xb).to_complex()
         for b in range(2):
-            single = block(ComplexTensor(xb.real[b], xb.imag[b])).to_complex()
+            single = block(ComplexTensor(xb.real[b : b + 1], xb.imag[b : b + 1])).to_complex()[0]
             np.testing.assert_array_equal(full[b], single)
 
     @pytest.mark.parametrize("batch", [3, 4])  # with 2 items the sum order cannot show
@@ -334,11 +335,11 @@ class TestTFAttentionBlock:
         x = rand_ct(rng, 3, 4, 3, 2)
         batched, single = {}, {}
         sa.branch(x, "frequency", collect=batched)
-        sa.branch(ComplexTensor(x.real[1], x.imag[1]), "frequency", collect=single)
+        sa.branch(ComplexTensor(x.real[1:2], x.imag[1:2]), "frequency", collect=single)
         assert batched.keys() == single.keys()
         for key, maps in batched.items():
-            assert maps.shape == (3, 3, 3) and single[key].shape == (3, 3)
-            np.testing.assert_array_equal(maps[1], single[key])
+            assert maps.shape == (3, 3, 3) and single[key].shape == (1, 3, 3)
+            np.testing.assert_array_equal(maps[1], single[key][0])
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError):
@@ -357,10 +358,36 @@ class TestTFAttentionBlock:
     def test_gradients(self, variant):
         rng = np.random.default_rng(78)
         block = TFAttentionBlock(variant, 2, 3, 3, rng=rng)
-        x = rand_ct(rng, 3, 3, 2)
+        x = rand_ct(rng, 1, 3, 3, 2)
         params = [x] + [p for _, p in block.parameters()]
 
         def build():
             return ct.sum_abs2(block(x))
 
         assert check_gradients(build, params) < 1e-4
+
+
+# every layer that takes feature maps, called on one [T, F, C] map with C = 1
+ONE_MAP_MODEL = ModelConfig(num_enc_layers=1, channels=(2,), gru_hidden=2, image_frames=4,
+                            frame_len=8, hop=2, fft_size=8)
+ONE_MAP_CALLS = {
+    "conv2d": lambda rng, x: complex_conv2d(x, rand_ct(rng, 2, 1, 3, 3), 1, 1),
+    "conv_transpose2d": lambda rng, x: complex_conv_transpose2d(
+        x, rand_ct(rng, 1, 2, 3, 3), 1, 1, (4, 4)
+    ),
+    "sdab.branch": lambda rng, x: Sdab(4, 4, rng=rng).branch(x, "time"),
+    "conventional.branch": lambda rng, x: ConventionalSA(1, rng=rng).branch(x, "time"),
+    "complex.branch": lambda rng, x: ComplexTFSA(1, rng=rng).branch(x, "frequency"),
+    "block.sdab": lambda rng, x: TFAttentionBlock("sdab", 1, 4, 4, rng=rng)(x),
+    "block.conventional": lambda rng, x: TFAttentionBlock("conventional", 1, 4, 4, rng=rng)(x),
+    "block.complex": lambda rng, x: TFAttentionBlock("complex", 1, 4, 4, rng=rng)(x),
+    "model.forward": lambda rng, x: DccrnModel(ONE_MAP_MODEL).forward(x),
+}
+
+
+@pytest.mark.parametrize("call", ONE_MAP_CALLS.values(), ids=ONE_MAP_CALLS.keys())
+def test_one_map_without_batch_axis_rejected(call):
+    # [B, T, F, C] is the only map layout: a batch of one carries its axis
+    rng = np.random.default_rng(81)
+    with pytest.raises(ShapeError, match=r"\[B,"):
+        call(rng, rand_ct(rng, 4, 4, 1))

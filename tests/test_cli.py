@@ -301,6 +301,26 @@ class TestEnhance:
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "out.wav").exists()
 
+    def test_entry_beyond_float32_range_is_data_error(self, tmp_path):
+        # 1e39 is finite in the checkpoint's float64 but casts to inf in float32
+        ckpt = tmp_path / "model.ckpt"
+        DccrnModel(dataclasses.replace(tiny_model_config(), dtype="float32")).save(ckpt)
+        arrays, meta = load_checkpoint(ckpt)
+        real, imag = arrays["head.w"]
+        real = real.copy()
+        real.flat[0] = 1e39
+        arrays["head.w"] = (real, imag)
+        save_checkpoint(ckpt, arrays, meta)
+        message = f"{ckpt}: checkpoint entry 'head.w' holds non-finite values"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            DccrnModel.from_checkpoint(ckpt)
+        write_wav(tmp_path / "in.wav", WaveForm(np.zeros(300), 500))
+        done = run_in_subprocess("enhance", "--ckpt", ckpt, "--in", tmp_path / "in.wav",
+                                 "--out", tmp_path / "out.wav")
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "out.wav").exists()
+
 
     @pytest.mark.parametrize(
         "field,value",

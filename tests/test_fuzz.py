@@ -20,6 +20,7 @@ from dereverb.checkpoint import load_checkpoint, save_checkpoint
 from dereverb.cli import main
 from dereverb.datasynth import SynthConfig
 from dereverb.model import DccrnModel, ModelConfig
+from dereverb.signal import WaveForm, write_wav
 
 MODEL_OVERRIDES = [
     "num_enc_layers=2", "channels=4,4", "gru_hidden=4", "image_frames=8",
@@ -123,6 +124,21 @@ def test_damaged_wav_eval(good, tmp_path):
             "--out", str(tmp_path / "scores.csv")]
     data = (good / "data" / "reverb_0000.wav").read_bytes()
     assert run_fuzz(test / "a.wav", mutations(data, 3, 44), argv) == []
+
+
+@pytest.mark.parametrize("rate,code", [(1, 2), (50, 2), (300, 2), (390, 2), (391, 0)])
+def test_low_rate_eval(tmp_path, rate, code):
+    """Below 391 Hz a 32 ms frame holds fewer than the 13 samples LPC order 12
+    needs: eval exits 2 with one line naming the pair, not a traceback."""
+    ref, test = tmp_path / "ref", tmp_path / "test"
+    ref.mkdir()
+    test.mkdir()
+    x = np.random.default_rng(rate).uniform(-0.5, 0.5, 2 * rate)
+    write_wav(ref / "u.wav", WaveForm(x, rate))
+    write_wav(test / "u.wav", WaveForm(0.9 * x + 0.01, rate))
+    argv = ["eval", "--ref-dir", str(ref), "--test-dir", str(test),
+            "--out", str(tmp_path / "scores.csv")]
+    assert run_cli(argv, codes=(code,), naming=str(ref / "u.wav")) is None
 
 
 def test_damaged_wav_train(good, tmp_path):

@@ -134,32 +134,32 @@ def naive_complex_conv_transpose(x, w, stride, padding, out_spatial):
 
 class TestComplexConv2d:
     def test_identity_kernel(self):
-        x = ComplexTensor(np.array([[[1.0]]]), np.array([[[2.0]]]))
+        x = ComplexTensor(np.array([[[[1.0]]]]), np.array([[[[2.0]]]]))
         w = ComplexTensor(np.ones((1, 1, 1, 1)), np.zeros((1, 1, 1, 1)))
         y = ly.complex_conv2d(x, w)
-        assert y.to_complex()[0, 0, 0] == 1 + 2j
+        assert y.to_complex()[0, 0, 0, 0] == 1 + 2j
 
     def test_forced_by_product_rule(self):
-        x = ComplexTensor(np.array([[[1.0]]]), np.array([[[1.0]]]))
+        x = ComplexTensor(np.array([[[[1.0]]]]), np.array([[[[1.0]]]]))
         w = ComplexTensor(np.ones((1, 1, 1, 1)), np.ones((1, 1, 1, 1)))
         y = ly.complex_conv2d(x, w)
-        assert y.to_complex()[0, 0, 0] == 0 + 2j
+        assert y.to_complex()[0, 0, 0, 0] == 0 + 2j
 
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(30)
-        x = rand_ct(rng, 4, 4, 1)
+        x = rand_ct(rng, 1, 4, 4, 1)
         w = rand_ct(rng, 2, 1, 3, 3)
-        got = ly.complex_conv2d(x, w, stride=1, padding=1).to_complex()
-        want = naive_complex_conv(x.to_complex(), w.to_complex(), (1, 1), (1, 1))
+        got = ly.complex_conv2d(x, w, stride=1, padding=1).to_complex()[0]
+        want = naive_complex_conv(x.to_complex()[0], w.to_complex(), (1, 1), (1, 1))
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     @pytest.mark.parametrize("stride,padding", [((1, 1), (0, 0)), ((2, 1), (1, 0)), ((1, 2), (2, 1))])
     def test_matches_naive_loop_strided(self, stride, padding):
         rng = np.random.default_rng(31)
-        x = rand_ct(rng, 6, 5, 2)
+        x = rand_ct(rng, 1, 6, 5, 2)
         w = rand_ct(rng, 3, 2, 3, 2)
-        got = ly.complex_conv2d(x, w, stride=stride, padding=padding).to_complex()
-        want = naive_complex_conv(x.to_complex(), w.to_complex(), stride, padding)
+        got = ly.complex_conv2d(x, w, stride=stride, padding=padding).to_complex()[0]
+        want = naive_complex_conv(x.to_complex()[0], w.to_complex(), stride, padding)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_batched_matches_per_sample(self):
@@ -169,13 +169,13 @@ class TestComplexConv2d:
         batched = ly.complex_conv2d(xb, w, padding=1).to_complex()
         for b in range(3):
             single = ly.complex_conv2d(
-                ComplexTensor(xb.real[b], xb.imag[b]), w, padding=1
-            ).to_complex()
+                ComplexTensor(xb.real[b : b + 1], xb.imag[b : b + 1]), w, padding=1
+            ).to_complex()[0]
             np.testing.assert_allclose(batched[b], single, atol=1e-13)
 
     def test_linearity(self):
         rng = np.random.default_rng(33)
-        x1, x2 = rand_ct(rng, 5, 5, 2), rand_ct(rng, 5, 5, 2)
+        x1, x2 = rand_ct(rng, 1, 5, 5, 2), rand_ct(rng, 1, 5, 5, 2)
         w = rand_ct(rng, 2, 2, 3, 3)
         alpha = 0.37
         lhs = ly.complex_conv2d(
@@ -189,11 +189,11 @@ class TestComplexConv2d:
     def test_channel_mismatch(self):
         rng = np.random.default_rng(34)
         with pytest.raises(ShapeError):
-            ly.complex_conv2d(rand_ct(rng, 4, 4, 3), rand_ct(rng, 2, 2, 3, 3))
+            ly.complex_conv2d(rand_ct(rng, 1, 4, 4, 3), rand_ct(rng, 2, 2, 3, 3))
 
     def test_gradients(self):
         rng = np.random.default_rng(35)
-        x = rand_ct(rng, 4, 4, 2)
+        x = rand_ct(rng, 1, 4, 4, 2)
         w = rand_ct(rng, 2, 2, 3, 3)
 
         def build():
@@ -206,7 +206,7 @@ class TestComplexConvTranspose2d:
     def test_adjoint_of_conv(self):
         # <conv(x; conj(w)), y> == <x, convT(y; w)> in the paired-real inner product
         rng = np.random.default_rng(36)
-        x = rand_ct(rng, 6, 8, 2)
+        x = rand_ct(rng, 1, 6, 8, 2)
         w = rand_ct(rng, 3, 2, 3, 3)  # [out, in, kt, kf] for the forward conv
         stride, padding = (2, 2), (1, 1)
         y_shape = ly.complex_conv2d(x, ComplexTensor(w.real, -w.imag), stride, padding).shape
@@ -220,23 +220,23 @@ class TestComplexConvTranspose2d:
 
     def test_inverts_spatial_dims(self):
         rng = np.random.default_rng(37)
-        x = rand_ct(rng, 10, 12, 2)
+        x = rand_ct(rng, 1, 10, 12, 2)
         down = ly.complex_conv2d(x, rand_ct(rng, 3, 2, 3, 3), stride=(2, 2), padding=1)
         up = ly.complex_conv_transpose2d(
             down, rand_ct(rng, 3, 2, 3, 3), (2, 2), (1, 1), (10, 12)
         )
-        assert up.shape == (10, 12, 2)
+        assert up.shape == (1, 10, 12, 2)
 
     def test_inconsistent_target_rejected(self):
         rng = np.random.default_rng(38)
         with pytest.raises(ShapeError):
             ly.complex_conv_transpose2d(
-                rand_ct(rng, 5, 6, 2), rand_ct(rng, 2, 2, 3, 3), (2, 2), (1, 1), (64, 64)
+                rand_ct(rng, 1, 5, 6, 2), rand_ct(rng, 2, 2, 3, 3), (2, 2), (1, 1), (64, 64)
             )
 
     def test_gradients(self):
         rng = np.random.default_rng(39)
-        x = rand_ct(rng, 3, 3, 2)
+        x = rand_ct(rng, 1, 3, 3, 2)
         w = rand_ct(rng, 2, 2, 3, 3)
 
         def build():
@@ -258,9 +258,8 @@ CONV_GEOMETRIES = [
     ((8, 7), (3, 2), (3, 2), (1, 0)),
 ]
 GEOMETRY_CASES = [
-    pytest.param(g, rank, dtype, id=f"g{i}-rank{rank}-{dtype.__name__}")
+    pytest.param(g, dtype, id=f"g{i}-rank4-{dtype.__name__}")
     for i, g in enumerate(CONV_GEOMETRIES)
-    for rank in (3, 4)
     for dtype in (np.float64, np.float32)
 ]
 
@@ -286,11 +285,10 @@ def inner_loss(y, probe):
 class TestConvGeometry:
     """Conv and conv-transpose against loop oracles and each other, per geometry."""
 
-    def _case(self, geometry, rank, dtype, seed):
+    def _case(self, geometry, dtype, seed):
         (t, f), k, s, p = geometry
         rng = np.random.default_rng(seed)
-        lead = (2,) if rank == 4 else ()
-        x = rand_typed(rng, lead + (t, f, 2), dtype)
+        x = rand_typed(rng, (2, t, f, 2), dtype)
         w = rand_typed(rng, (3, 2) + k, dtype)  # conv: 2 -> 3 channels
         return rng, x, w, s, p
 
@@ -298,37 +296,32 @@ class TestConvGeometry:
     def _rtol(dtype):
         return 1e-12 if dtype == np.float64 else 2e-5
 
-    @pytest.mark.parametrize("geometry,rank,dtype", GEOMETRY_CASES)
-    def test_conv_matches_naive_loop(self, geometry, rank, dtype):
-        _, x, w, s, p = self._case(geometry, rank, dtype, 60)
+    @pytest.mark.parametrize("geometry,dtype", GEOMETRY_CASES)
+    def test_conv_matches_naive_loop(self, geometry, dtype):
+        _, x, w, s, p = self._case(geometry, dtype, 60)
         y = ly.complex_conv2d(x, w, s, p)
         assert y.dtype == dtype
-        xs = x.to_complex().reshape((-1,) + x.shape[-3:])
-        want = np.stack([naive_complex_conv(xb, w.to_complex(), s, p) for xb in xs])
-        np.testing.assert_allclose(
-            y.to_complex().reshape(want.shape), want, atol=10 * self._rtol(dtype)
-        )
+        want = np.stack([naive_complex_conv(xb, w.to_complex(), s, p) for xb in x.to_complex()])
+        np.testing.assert_allclose(y.to_complex(), want, atol=10 * self._rtol(dtype))
 
-    @pytest.mark.parametrize("geometry,rank,dtype", GEOMETRY_CASES)
-    def test_transpose_matches_naive_loop(self, geometry, rank, dtype):
-        rng, x, w, s, p = self._case(geometry, rank, dtype, 61)
+    @pytest.mark.parametrize("geometry,dtype", GEOMETRY_CASES)
+    def test_transpose_matches_naive_loop(self, geometry, dtype):
+        rng, x, w, s, p = self._case(geometry, dtype, 61)
         spatial = x.shape[-3:-1]
         z = rand_typed(rng, ly.complex_conv2d(x, w, s, p).shape, dtype)
         # the transpose maps conv outputs back: its kernel is [C_in, C_out] = w's [3, 2]
         y = ly.complex_conv_transpose2d(z, w, s, p, spatial)
         assert y.dtype == dtype and y.shape == x.shape
-        zs = z.to_complex().reshape((-1,) + z.shape[-3:])
         want = np.stack(
-            [naive_complex_conv_transpose(zb, w.to_complex(), s, p, spatial) for zb in zs]
+            [naive_complex_conv_transpose(zb, w.to_complex(), s, p, spatial)
+             for zb in z.to_complex()]
         )
-        np.testing.assert_allclose(
-            y.to_complex().reshape(want.shape), want, atol=10 * self._rtol(dtype)
-        )
+        np.testing.assert_allclose(y.to_complex(), want, atol=10 * self._rtol(dtype))
 
-    @pytest.mark.parametrize("geometry,rank,dtype", GEOMETRY_CASES)
-    def test_input_gradient_is_adjoint(self, geometry, rank, dtype):
+    @pytest.mark.parametrize("geometry,dtype", GEOMETRY_CASES)
+    def test_input_gradient_is_adjoint(self, geometry, dtype):
         # <op(x), y> == <x, vjp_x(y)> for the conv and for its transpose
-        rng, x, w, s, p = self._case(geometry, rank, dtype, 62)
+        rng, x, w, s, p = self._case(geometry, dtype, 62)
         y_probe = rand_typed(rng, ly.complex_conv2d(x, w, s, p).shape, dtype)
         z = rand_typed(rng, y_probe.shape, dtype)
         x_probe = rand_typed(rng, x.shape, dtype)
@@ -342,9 +335,9 @@ class TestConvGeometry:
             lhs, rhs = inner(op(arg), probe), inner(arg, ComplexTensor(*vjp))
             assert abs(lhs - rhs) <= self._rtol(dtype) * max(abs(lhs), 1.0)
 
-    @pytest.mark.parametrize("geometry,rank,dtype", GEOMETRY_CASES)
-    def test_transpose_is_conv_vjp_x_with_conjugate_kernel(self, geometry, rank, dtype):
-        rng, x, w, s, p = self._case(geometry, rank, dtype, 63)
+    @pytest.mark.parametrize("geometry,dtype", GEOMETRY_CASES)
+    def test_transpose_is_conv_vjp_x_with_conjugate_kernel(self, geometry, dtype):
+        rng, x, w, s, p = self._case(geometry, dtype, 63)
         w_conj = ComplexTensor(w.real, -w.imag)
         z = rand_typed(rng, ly.complex_conv2d(x, w, s, p).shape, dtype)
         (vjp_x,) = ct.gradients(
@@ -355,11 +348,11 @@ class TestConvGeometry:
         np.testing.assert_allclose(up.real, vjp_x[0], atol=self._rtol(dtype) * scale)
         np.testing.assert_allclose(up.imag, vjp_x[1], atol=self._rtol(dtype) * scale)
 
-    @pytest.mark.parametrize("geometry,rank,dtype", GEOMETRY_CASES)
-    def test_transpose_gradients_alone_equal_gradients_together(self, geometry, rank, dtype):
+    @pytest.mark.parametrize("geometry,dtype", GEOMETRY_CASES)
+    def test_transpose_gradients_alone_equal_gradients_together(self, geometry, dtype):
         # both vjps come from one memoised im2col; each input still gets the
         # gradient it gets when it is the only one taped
-        rng, x, w, s, p = self._case(geometry, rank, dtype, 65)
+        rng, x, w, s, p = self._case(geometry, dtype, 65)
         z = rand_typed(rng, ly.complex_conv2d(x, w, s, p).shape, dtype)
         probe = rand_typed(rng, x.shape, dtype)
         build = lambda: inner_loss(ly.complex_conv_transpose2d(z, w, s, p, x.shape[-3:-1]), probe)
@@ -369,11 +362,9 @@ class TestConvGeometry:
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1], want[1])
 
-    @pytest.mark.parametrize(
-        "geometry,rank", [(g, r) for g in CONV_GEOMETRIES for r in (3, 4)]
-    )
-    def test_kernel_gradients_match_finite_differences(self, geometry, rank):
-        rng, x, w, s, p = self._case(geometry, rank, np.float64, 64)
+    @pytest.mark.parametrize("geometry", CONV_GEOMETRIES)
+    def test_kernel_gradients_match_finite_differences(self, geometry):
+        rng, x, w, s, p = self._case(geometry, np.float64, 64)
         z = rand_typed(rng, ly.complex_conv2d(x, w, s, p).shape, np.float64)
         spatial = x.shape[-3:-1]
         for build in (
@@ -804,29 +795,26 @@ class TestComplexGru:
 class TestUnitaryInit:
     def test_single_element_has_unit_modulus(self):
         rng = np.random.default_rng(51)
-        wr, wi = ly.unitary_init((1, 1, 1, 1), rng)
-        assert abs(np.hypot(wr, wi).item() - 1.0) < 1e-12
+        w = ly.unitary_init((1, 1, 1, 1), rng)
+        assert abs(np.hypot(w.real, w.imag).item() - 1.0) < 1e-12
 
     def test_square_matrix_is_unitary(self):
         rng = np.random.default_rng(52)
-        wr, wi = ly.unitary_init((6, 6), rng)
-        w = wr + 1j * wi
+        w = ly.unitary_init((6, 6), rng).to_complex()
         np.testing.assert_allclose(w @ w.conj().T, np.eye(6), atol=1e-8)
 
     def test_wide_kernel_rows_orthonormal(self):
         rng = np.random.default_rng(53)
-        wr, wi = ly.unitary_init((3, 2, 3, 3), rng)
-        w = (wr + 1j * wi).reshape(3, -1)
+        w = ly.unitary_init((3, 2, 3, 3), rng).to_complex().reshape(3, -1)
         np.testing.assert_allclose(w @ w.conj().T, np.eye(3), atol=1e-8)
 
     def test_tall_matrix_columns_orthonormal(self):
         rng = np.random.default_rng(54)
-        wr, wi = ly.unitary_init((8, 3), rng)
-        w = wr + 1j * wi
+        w = ly.unitary_init((8, 3), rng).to_complex()
         np.testing.assert_allclose(w.conj().T @ w, np.eye(3), atol=1e-8)
 
     def test_deterministic_per_seed(self):
         a = ly.unitary_init((4, 4), np.random.default_rng(99))
         b = ly.unitary_init((4, 4), np.random.default_rng(99))
-        assert a[0].tobytes() == b[0].tobytes()
-        assert a[1].tobytes() == b[1].tobytes()
+        assert a.real.tobytes() == b.real.tobytes()
+        assert a.imag.tobytes() == b.imag.tobytes()

@@ -285,13 +285,13 @@ class TestDccrnForward:
         cfg = ModelConfig.paper_scale(batch_size=1, dtype="float32")
         model = DccrnModel(cfg)
         rng = np.random.default_rng(124)
-        shape = (cfg.image_frames, cfg.image_bins, 1)
+        shape = (1, cfg.image_frames, cfg.image_bins, 1)
         x = ComplexTensor(
             rng.standard_normal(shape).astype(np.float32),
             rng.standard_normal(shape).astype(np.float32),
         )
         mask = model.forward(x, training=False)
-        assert x.shape == (256, 256, 1) and mask.shape == x.shape
+        assert x.shape == (1, 256, 256, 1) and mask.shape == x.shape
         assert mask.dtype == np.float32
         assert np.all(np.isfinite(mask.real)) and np.all(np.isfinite(mask.imag))
 
