@@ -257,9 +257,12 @@ CONV_GEOMETRIES = [
     ((5, 7), (1, 1), (2, 2), (0, 0)),
     ((8, 7), (3, 2), (3, 2), (1, 0)),
 ]
+# rank 3: one [T, F, C] map, which the convs take as a batch of one;
+# rank 4: a batch of two maps
 GEOMETRY_CASES = [
-    pytest.param(g, dtype, id=f"g{i}-rank4-{dtype.__name__}")
+    pytest.param(g, rank, dtype, id=f"g{i}-rank{rank}-{dtype.__name__}")
     for i, g in enumerate(CONV_GEOMETRIES)
+    for rank in (3, 4)
     for dtype in (np.float64, np.float32)
 ]
 
@@ -285,10 +288,11 @@ def inner_loss(y, probe):
 class TestConvGeometry:
     """Conv and conv-transpose against loop oracles and each other, per geometry."""
 
-    def _case(self, geometry, dtype, seed):
+    def _case(self, geometry, rank, dtype, seed):
         (t, f), k, s, p = geometry
         rng = np.random.default_rng(seed)
-        x = rand_typed(rng, (2, t, f, 2), dtype)
+        batch = 2 if rank == 4 else 1
+        x = rand_typed(rng, (batch, t, f, 2), dtype)
         w = rand_typed(rng, (3, 2) + k, dtype)  # conv: 2 -> 3 channels
         return rng, x, w, s, p
 
@@ -296,17 +300,17 @@ class TestConvGeometry:
     def _rtol(dtype):
         return 1e-12 if dtype == np.float64 else 2e-5
 
-    @pytest.mark.parametrize("geometry,dtype", GEOMETRY_CASES)
-    def test_conv_matches_naive_loop(self, geometry, dtype):
-        _, x, w, s, p = self._case(geometry, dtype, 60)
+    @pytest.mark.parametrize("geometry,rank,dtype", GEOMETRY_CASES)
+    def test_conv_matches_naive_loop(self, geometry, rank, dtype):
+        _, x, w, s, p = self._case(geometry, rank, dtype, 60)
         y = ly.complex_conv2d(x, w, s, p)
         assert y.dtype == dtype
         want = np.stack([naive_complex_conv(xb, w.to_complex(), s, p) for xb in x.to_complex()])
         np.testing.assert_allclose(y.to_complex(), want, atol=10 * self._rtol(dtype))
 
-    @pytest.mark.parametrize("geometry,dtype", GEOMETRY_CASES)
-    def test_transpose_matches_naive_loop(self, geometry, dtype):
-        rng, x, w, s, p = self._case(geometry, dtype, 61)
+    @pytest.mark.parametrize("geometry,rank,dtype", GEOMETRY_CASES)
+    def test_transpose_matches_naive_loop(self, geometry, rank, dtype):
+        rng, x, w, s, p = self._case(geometry, rank, dtype, 61)
         spatial = x.shape[-3:-1]
         z = rand_typed(rng, ly.complex_conv2d(x, w, s, p).shape, dtype)
         # the transpose maps conv outputs back: its kernel is [C_in, C_out] = w's [3, 2]
@@ -318,10 +322,10 @@ class TestConvGeometry:
         )
         np.testing.assert_allclose(y.to_complex(), want, atol=10 * self._rtol(dtype))
 
-    @pytest.mark.parametrize("geometry,dtype", GEOMETRY_CASES)
-    def test_input_gradient_is_adjoint(self, geometry, dtype):
+    @pytest.mark.parametrize("geometry,rank,dtype", GEOMETRY_CASES)
+    def test_input_gradient_is_adjoint(self, geometry, rank, dtype):
         # <op(x), y> == <x, vjp_x(y)> for the conv and for its transpose
-        rng, x, w, s, p = self._case(geometry, dtype, 62)
+        rng, x, w, s, p = self._case(geometry, rank, dtype, 62)
         y_probe = rand_typed(rng, ly.complex_conv2d(x, w, s, p).shape, dtype)
         z = rand_typed(rng, y_probe.shape, dtype)
         x_probe = rand_typed(rng, x.shape, dtype)
@@ -335,9 +339,9 @@ class TestConvGeometry:
             lhs, rhs = inner(op(arg), probe), inner(arg, ComplexTensor(*vjp))
             assert abs(lhs - rhs) <= self._rtol(dtype) * max(abs(lhs), 1.0)
 
-    @pytest.mark.parametrize("geometry,dtype", GEOMETRY_CASES)
-    def test_transpose_is_conv_vjp_x_with_conjugate_kernel(self, geometry, dtype):
-        rng, x, w, s, p = self._case(geometry, dtype, 63)
+    @pytest.mark.parametrize("geometry,rank,dtype", GEOMETRY_CASES)
+    def test_transpose_is_conv_vjp_x_with_conjugate_kernel(self, geometry, rank, dtype):
+        rng, x, w, s, p = self._case(geometry, rank, dtype, 63)
         w_conj = ComplexTensor(w.real, -w.imag)
         z = rand_typed(rng, ly.complex_conv2d(x, w, s, p).shape, dtype)
         (vjp_x,) = ct.gradients(
@@ -348,11 +352,11 @@ class TestConvGeometry:
         np.testing.assert_allclose(up.real, vjp_x[0], atol=self._rtol(dtype) * scale)
         np.testing.assert_allclose(up.imag, vjp_x[1], atol=self._rtol(dtype) * scale)
 
-    @pytest.mark.parametrize("geometry,dtype", GEOMETRY_CASES)
-    def test_transpose_gradients_alone_equal_gradients_together(self, geometry, dtype):
+    @pytest.mark.parametrize("geometry,rank,dtype", GEOMETRY_CASES)
+    def test_transpose_gradients_alone_equal_gradients_together(self, geometry, rank, dtype):
         # both vjps come from one memoised im2col; each input still gets the
         # gradient it gets when it is the only one taped
-        rng, x, w, s, p = self._case(geometry, dtype, 65)
+        rng, x, w, s, p = self._case(geometry, rank, dtype, 65)
         z = rand_typed(rng, ly.complex_conv2d(x, w, s, p).shape, dtype)
         probe = rand_typed(rng, x.shape, dtype)
         build = lambda: inner_loss(ly.complex_conv_transpose2d(z, w, s, p, x.shape[-3:-1]), probe)
@@ -362,9 +366,11 @@ class TestConvGeometry:
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1], want[1])
 
-    @pytest.mark.parametrize("geometry", CONV_GEOMETRIES)
-    def test_kernel_gradients_match_finite_differences(self, geometry):
-        rng, x, w, s, p = self._case(geometry, np.float64, 64)
+    @pytest.mark.parametrize(
+        "geometry,rank", [(g, r) for g in CONV_GEOMETRIES for r in (3, 4)]
+    )
+    def test_kernel_gradients_match_finite_differences(self, geometry, rank):
+        rng, x, w, s, p = self._case(geometry, rank, np.float64, 64)
         z = rand_typed(rng, ly.complex_conv2d(x, w, s, p).shape, np.float64)
         spatial = x.shape[-3:-1]
         for build in (
