@@ -396,8 +396,9 @@ def compress_mag(a, c):
 
 
 def _cmm(a, b):
-    """Complex product of (real, imag) part pairs.  :func:`matmul` and the
-    fused GRU form their products and vjps with these three, so they round alike."""
+    """Complex product of (real, imag) part pairs.  :func:`matmul` and the fused
+    GRU's input projections form their products and vjps with these three; the
+    GRU recurrence batches the same four real products, so all round alike."""
     (ar, ai), (br, bi) = a, b
     return ar @ br - ai @ bi, ar @ bi + ai @ br
 

@@ -40,7 +40,7 @@ def unitary_init(shape, rng, dtype=np.float64):
 
     ``shape`` is either (rows, cols) or a conv-kernel shape
     (c_out, c_in, k_t, k_f), which is flattened to (c_out, c_in*k_t*k_f).
-    Deterministic for a fixed generator state.
+    Deterministic for a fixed generator state; with ``rng`` None, zeros.
     """
     shape = tuple(int(s) for s in shape)
     if len(shape) == 2:
@@ -49,7 +49,8 @@ def unitary_init(shape, rng, dtype=np.float64):
         m, n = shape[0], shape[1] * shape[2] * shape[3]
     else:
         raise ShapeError(f"unitary_init expects rank 2 or 4, got {shape}")
-
+    if rng is None:
+        return ComplexTensor(np.zeros(shape, dtype=dtype))
     w = _semi_unitary(m, n, rng, complex_valued=True).reshape(shape)
     return ComplexTensor(*(np.ascontiguousarray(part, dtype=dtype) for part in (w.real, w.imag)))
 
@@ -58,8 +59,11 @@ def orthogonal_pair_init(shape, rng, dtype=np.float64):
     """Two independent real (semi-)orthogonal matrices, packed as one tensor.
 
     Used for per-part weights (packed-pair layers) where the real and imag
-    arrays act on the real and imaginary branches independently.
+    arrays act on the real and imaginary branches independently.  With
+    ``rng`` None, zeros.
     """
+    if rng is None:
+        return ComplexTensor(np.zeros(shape, dtype=dtype))
     return ComplexTensor(*(
         np.ascontiguousarray(_semi_unitary(*shape, rng, complex_valued=False), dtype=dtype)
         for _ in range(2)
@@ -422,10 +426,14 @@ class ComplexGruCell:
         states [B, T, H] as one tape node with a hand-written BPTT vjp.
 
         The input projections of all three gates are batched over all steps;
-        the recurrent half runs step by step.  Forward and vjp form every
-        product and sum of the recurrence written as per-step tape ops (complex
-        ``matmul``, per-part sigmoid, tanh and products, ``stack``) in that
-        chain's order, so outputs and gradients equal it bit for bit.
+        the recurrent half runs step by step on arrays that stack the real and
+        imaginary parts, and the z and r gates, on leading axes: one batched
+        product forms the eight real products of h U_z and h U_r, one the four
+        of (r .* h) U_h, and each gate and gradient expression runs once on the
+        stack.  Each item of a batched product is the 2-D product's BLAS call,
+        and every sum keeps the association and order of the recurrence written
+        as per-step tape ops, so outputs and gradients equal that chain's bit
+        for bit.
         """
         if x_seq.ndim != 3 or x_seq.shape[-1] != self.input_cc:
             raise ShapeError(
@@ -434,63 +442,56 @@ class ComplexGruCell:
         batch, steps, d = x_seq.shape
         n = self.hidden_cc
         xs = (x_seq.real.reshape(batch * steps, d), x_seq.imag.reshape(batch * steps, d))
-        ws, us, bs = (
-            [(p.real, p.imag) for p in group]
-            for group in (
-                (self.w_z, self.w_r, self.w_h),
-                (self.u_z, self.u_r, self.u_h),
-                (self.b_z, self.b_r, self.b_h),
-            )
-        )
-        px = [[p.reshape(batch, steps, n) for p in _cmm(xs, w)] for w in ws]
-        h = [np.zeros((batch, n), dtype=x_seq.dtype) for _ in range(2)]
-        saved, outs = [], []  # saved per step: h_{t-1}, z, r, r .* h_{t-1}, candidate
+        ws = [(p.real, p.imag) for p in (self.w_z, self.w_r, self.w_h)]
+        px = np.stack([_cmm(xs, w) for w in ws]).reshape(3, 2, batch, steps, n)
+        bs = np.stack([(p.real, p.imag) for p in (self.b_z, self.b_r, self.b_h)])[:, :, None]
+        # the four real products of a complex one stack on axis -3: left operands
+        # a_r, a_i, a_r, a_i (``ab``), right ones U_r, U_i, U_i, U_r; ``sign`` makes
+        # a_r U_r - a_i U_i, and ``flip`` the vjps' -g_r and -a_i^T
+        us = np.stack([(p.real, p.imag, p.imag, p.real) for p in (self.u_z, self.u_r, self.u_h)])
+        ab = [0, 1, 0, 1]
+        sign, flip = (np.array(v, x_seq.dtype)[:, None, None] for v in ([-1, 1], [1, 1, -1, 1]))
+
+        def pairs(p, s=None):  # (real, imag) of stacked products: p0 + p1, p2 + p3
+            return p[..., ::2, :, :] + (p[..., 1::2, :, :] if s is None else s * p[..., 1::2, :, :])
+
+        h = np.zeros((2, batch, n), dtype=x_seq.dtype)
+        out = np.empty((2, batch, steps, n), dtype=x_seq.dtype)
+        saved = []  # per step: h_{t-1}, the z and r gates, r .* h_{t-1}, candidate
         for t in range(steps):
-            z, r = (
-                [1.0 / (1.0 + np.exp(-(p[:, t] + q + b)))
-                 for p, q, b in zip(px[k], _cmm(h, us[k]), bs[k])]
-                for k in (0, 1)
-            )
-            rh = [rp * hp for rp, hp in zip(r, h)]
-            c = [np.tanh(p[:, t] + q + b) for p, q, b in zip(px[2], _cmm(rh, us[2]), bs[2])]
-            saved.append((h, z, r, rh, c))
-            h = [(1.0 - zp) * hp + zp * cp for zp, hp, cp in zip(z, h, c)]
-            outs.append(h)
+            zr = 1.0 / (1.0 + np.exp(-((px[:2, :, :, t] + pairs(h[ab] @ us[:2], sign)) + bs[:2])))
+            rh = zr[1] * h
+            c = np.tanh((px[2, :, :, t] + pairs(rh[ab] @ us[2], sign)) + bs[2])
+            saved.append((h, zr, rh, c))
+            h = (1.0 - zr[0]) * h + zr[0] * c
+            out[:, :, t] = h
 
         def bptt(gr, gi):
             """Gradients of x and of the parameters, in :meth:`parameters` order."""
-            dpx = [[np.zeros_like(p) for p in pair] for pair in px]
-            du, db = [None] * 3, [None] * 3
-            dh = [gr[:, -1], gi[:, -1]]
+            gs, ut = np.stack((gr, gi)), us.swapaxes(-1, -2)
+            dpx = np.empty_like(px)
+            du = db = None
+            dh = gs[:, :, -1]
             for t in range(steps - 1, -1, -1):
-                hp, z, r, rh, c = saved[t]
-                dz = [g * cp - g * hq for g, cp, hq in zip(dh, c, hp)]
-                dah = [g * zp * (1.0 - cp * cp) for g, zp, cp in zip(dh, z, c)]
-                drh = _cmm_vjp_a(dah, us[2])
-                dar = [g * hq * rp * (1.0 - rp) for g, hq, rp in zip(drh, hp, r)]
-                daz = [g * zp * (1.0 - zp) for g, zp in zip(dz, z)]
-                for k, (dpre, a) in enumerate(((daz, hp), (dar, hp), (dah, rh))):
-                    for dp, g in zip(dpx[k], dpre):
-                        dp[:, t] = g
-                    du[k] = _acc(du[k], _cmm_vjp_b(a, dpre))
-                    db[k] = _acc(db[k], [g.sum(axis=0) for g in dpre])
+                hp, zr, rh, c = saved[t]
+                dah = dh * zr[0] * (1.0 - c * c)
+                drh = pairs((dah[ab] * flip) @ ut[2])
+                dzr = np.stack((dh * c - dh * hp, drh * hp)) * zr * (1.0 - zr)
+                dpre = np.concatenate((dzr, dah[None]))
+                dpx[:, :, :, t] = dpre
+                a = np.stack((hp, hp, rh))[:, [0, 1, 1, 0]] * flip
+                du_t, db_t = pairs(a.swapaxes(-1, -2) @ dpre[:, ab]), dpre.sum(axis=2)
+                du, db = (du_t, db_t) if du is None else (du + du_t, db + db_t)
                 if t:  # h_{t-1} feeds output t-1 and, in this step, the gating,
                     # r .* h, h U_r and h U_z: the tape walk adds them in that order
-                    terms = (
-                        [g * (1.0 - zp) for g, zp in zip(dh, z)],
-                        [g * rp for g, rp in zip(drh, r)],
-                        _cmm_vjp_a(dar, us[1]),
-                        _cmm_vjp_a(daz, us[0]),
-                    )
-                    dh = [gr[:, t - 1], gi[:, t - 1]]
-                    for term in terms:
-                        dh = _acc(dh, term)
+                    via_u = pairs((dzr[:, ab] * flip) @ ut[:2])
+                    dh = ((gs[:, :, t - 1] + dh * (1.0 - zr[0])) + drh * zr[1]) + via_u[1]
+                    dh = dh + via_u[0]
             dx = None
             for k in (2, 1, 0):  # the tape walk meets the projections last-made first
                 dx = _acc(dx, _cmm_vjp_a([g.reshape(batch * steps, n) for g in dpx[k]], ws[k]))
             dw = [_cmm_vjp_b(xs, [g.reshape(batch * steps, n) for g in dpx[k]]) for k in range(3)]
-            return [[g.reshape(x_seq.shape) for g in dx]] + dw + du + db
+            return [[g.reshape(x_seq.shape) for g in dx]] + dw + list(du) + list(db)
 
         srcs = list(zip([x_seq] + [p for _, p in self.parameters()], _shared_vjps(bptt, 10)))
-        out = [np.stack([o[k] for o in outs], axis=1) for k in range(2)]
         return _emit("gru_run", out[0], out[1], srcs)

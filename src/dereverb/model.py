@@ -200,9 +200,13 @@ class DccrnModel:
     """Complex U-Net with a recurrent bottleneck emitting a complex mask."""
 
     def __init__(self, cfg: ModelConfig):
+        self._build(cfg, np.random.default_rng(cfg.seed))
+
+    def _build(self, cfg, rng):
+        """Lay out the network.  ``rng`` draws the seeded initial weights; with
+        None every weight is a zero placeholder that :meth:`load_arrays` fills."""
         cfg.validate()
         self.cfg = cfg
-        rng = np.random.default_rng(cfg.seed)
         dtype = cfg.np_dtype
         n = cfg.num_enc_layers
         enc_cc = [c // 2 for c in cfg.channels]
@@ -318,6 +322,8 @@ class DccrnModel:
 
     @classmethod
     def from_checkpoint(cls, path):
+        """The model a checkpoint saved, built without drawing initial weights:
+        :meth:`load_arrays` checks and sets every parameter and buffer."""
         arrays, meta = load_checkpoint(path)
         if not isinstance(meta, dict) or "model_config" not in meta:
             raise DataError(f"{path}: checkpoint carries no model config")
@@ -325,7 +331,8 @@ class DccrnModel:
             cfg = build_config(ModelConfig, meta["model_config"])
         except ConfigError as exc:
             raise DataError(f"{path}: bad model config: {exc}") from exc
-        model = cls(cfg)
+        model = cls.__new__(cls)
+        model._build(cfg, None)
         try:
             model.load_arrays(arrays)
         except DataError as exc:

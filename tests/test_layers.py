@@ -726,8 +726,9 @@ class TestComplexGru:
 
         assert check_gradients(build, params) < 1e-4
 
-    # desk bottleneck shape, and a ragged one with D != H
-    ORACLE_SHAPES = [(4, 64, 64, 16), (3, 5, 7, 4)]
+    # desk bottleneck shape, a ragged one with D != H, and a batch of one,
+    # where numpy forms h @ U as a vector-matrix product rather than a GEMM
+    ORACLE_SHAPES = [(4, 64, 64, 16), (3, 5, 7, 4), (1, 9, 6, 4)]
 
     def _oracle_case(self, seed, shape, dtype=np.float64):
         batch, steps, d, h = shape

@@ -1,9 +1,12 @@
 """DCCRN assembly, loss, Adam, training loop, enhancement pipeline."""
 
+import re
+
 import numpy as np
 import pytest
 
 from dereverb import ctensor as ct
+from dereverb import layers
 from dereverb import model as model_mod
 from dereverb.checkpoint import load_checkpoint, save_checkpoint
 from dereverb.ctensor import ComplexTensor
@@ -317,6 +320,85 @@ class TestDccrnForward:
 
     def test_range_edges_accepted(self):
         ModelConfig(learning_rate=0.0, checkpoint_every=0, padding=(0, 0), seed=0).validate()
+
+
+class TestCheckpointLoad:
+    """``from_checkpoint`` takes every weight from the file and draws none."""
+
+    @staticmethod
+    def _refuse_draws(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a checkpoint load drew initial weights")
+
+        monkeypatch.setattr(layers, "_semi_unitary", refuse)
+        monkeypatch.setattr(np.linalg, "qr", refuse)
+
+    def _saved(self, tmp_path, variant):
+        cfg = tiny_config(attention=variant)
+        model = DccrnModel(cfg)
+        rng = np.random.default_rng(125)
+        model.forward(rand_images(rng, cfg, batch=4), training=True)  # move the buffers
+        for _, p in model.parameters():  # and the weights off the seeded init
+            p.real = p.real + 0.1 * rng.standard_normal(p.shape)
+            p.imag = p.imag + 0.1 * rng.standard_normal(p.shape)
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+        return model, path
+
+    @staticmethod
+    def _assert_same_state(got, want):
+        pairs = [(g.real, w.real) for (_, g), (_, w) in zip(got.parameters(), want.parameters())]
+        pairs += [(g.imag, w.imag) for (_, g), (_, w) in zip(got.parameters(), want.parameters())]
+        pairs += [(g, w) for (_, g), (_, w) in zip(got.buffers(), want.buffers())]
+        assert len(pairs) == 2 * len(want.parameters()) + len(want.buffers())
+        for g, w in pairs:
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("variant", model_mod.ATTENTION_VARIANTS)
+    def test_load_draws_nothing_and_restores_every_array(self, tmp_path, monkeypatch, variant):
+        model, path = self._saved(tmp_path, variant)
+        self._refuse_draws(monkeypatch)
+        self._assert_same_state(DccrnModel.from_checkpoint(path), model)
+
+    def test_edited_seed_loads_the_same_weights(self, tmp_path):
+        model, path = self._saved(tmp_path, "complex")
+        arrays, meta = load_checkpoint(path)
+        meta["model_config"]["seed"] = 11
+        save_checkpoint(path, arrays, meta)
+        restored = DccrnModel.from_checkpoint(path)
+        assert restored.cfg.seed == 11
+        self._assert_same_state(restored, model)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            ("missing", "checkpoint is missing entry 'head.w'"),
+            ("unknown", "checkpoint holds entry 'extra.w', unknown to the model"),
+            ("shape", "checkpoint entry 'head.w' has shape (1, 2), want (1, 2, 1, 1)"),
+            ("non-finite", "checkpoint entry 'head.w' holds non-finite values"),
+            ("buffer imag",
+             "checkpoint entry 'buffer.enc0.bn.run_vrr' has a nonzero imaginary part"),
+        ],
+    )
+    def test_bad_entries_keep_their_messages(self, tmp_path, monkeypatch, edit, message):
+        _, path = self._saved(tmp_path, "complex")
+        arrays, meta = load_checkpoint(path)
+        real, imag = arrays["head.w"]
+        if edit == "missing":
+            del arrays["head.w"]
+        elif edit == "unknown":
+            arrays["extra.w"] = (real, imag)
+        elif edit == "shape":
+            arrays["head.w"] = (real.reshape(1, 2), imag.reshape(1, 2))
+        elif edit == "non-finite":
+            arrays["head.w"] = (np.full_like(real, np.nan), imag)
+        else:
+            real, imag = arrays["buffer.enc0.bn.run_vrr"]
+            arrays["buffer.enc0.bn.run_vrr"] = (real, np.ones_like(imag))
+        save_checkpoint(path, arrays, meta)
+        self._refuse_draws(monkeypatch)
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            DccrnModel.from_checkpoint(path)
 
 
 def _make_dataset(tmp_path, n_pairs=2, seed=5):
