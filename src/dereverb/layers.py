@@ -445,46 +445,45 @@ class ComplexGruCell:
         ws = [(p.real, p.imag) for p in (self.w_z, self.w_r, self.w_h)]
         px = np.stack([_cmm(xs, w) for w in ws]).reshape(3, 2, batch, steps, n)
         bs = np.stack([(p.real, p.imag) for p in (self.b_z, self.b_r, self.b_h)])[:, :, None]
-        # the four real products of a complex one stack on axis -3: left operands
-        # a_r, a_i, a_r, a_i (``ab``), right ones U_r, U_i, U_i, U_r; ``sign`` makes
-        # a_r U_r - a_i U_i, and ``flip`` the vjps' -g_r and -a_i^T
-        us = np.stack([(p.real, p.imag, p.imag, p.real) for p in (self.u_z, self.u_r, self.u_h)])
-        ab = [0, 1, 0, 1]
-        sign, flip = (np.array(v, x_seq.dtype)[:, None, None] for v in ([-1, 1], [1, 1, -1, 1]))
-
-        def pairs(p, s=None):  # (real, imag) of stacked products: p0 + p1, p2 + p3
-            return p[..., ::2, :, :] + (p[..., 1::2, :, :] if s is None else s * p[..., 1::2, :, :])
+        # right operands of a complex product's four real ones, [real, imag] x
+        # [from a_r, from a_i]: a_r U_r + a_i (-U_i) is a_r U_r - a_i U_i bit for bit
+        us = np.stack([((u.real, -u.imag), (u.imag, u.real))
+                       for u in (self.u_z, self.u_r, self.u_h)])
+        pairs = lambda p: p[..., 0, :, :] + p[..., 1, :, :]  # sum over [from a_r, from a_i]
 
         h = np.zeros((2, batch, n), dtype=x_seq.dtype)
         out = np.empty((2, batch, steps, n), dtype=x_seq.dtype)
         saved = []  # per step: h_{t-1}, the z and r gates, r .* h_{t-1}, candidate
         for t in range(steps):
-            zr = 1.0 / (1.0 + np.exp(-((px[:2, :, :, t] + pairs(h[ab] @ us[:2], sign)) + bs[:2])))
+            zr = 1.0 / (1.0 + np.exp(-((px[:2, :, :, t] + pairs(h @ us[:2])) + bs[:2])))
             rh = zr[1] * h
-            c = np.tanh((px[2, :, :, t] + pairs(rh[ab] @ us[2], sign)) + bs[2])
+            c = np.tanh((px[2, :, :, t] + pairs(rh @ us[2])) + bs[2])
             saved.append((h, zr, rh, c))
             h = (1.0 - zr[0]) * h + zr[0] * c
             out[:, :, t] = h
 
         def bptt(gr, gi):
             """Gradients of x and of the parameters, in :meth:`parameters` order."""
-            gs, ut = np.stack((gr, gi)), us.swapaxes(-1, -2)
+            # right operands of g U^H and, per step, left ones of a^H g (a: h_{t-1} for
+            # U_z and U_r, r .* h_{t-1} for U_h), [real, imag] x [with g_r, with g_i]
+            gs, ut = np.stack((gr, gi)), us.transpose(0, 2, 1, 4, 3)
+            a = np.stack([(hp, hp, rh) for hp, _, rh, _ in saved])
+            at = np.stack((a, np.stack((-a[:, :, 1], a[:, :, 0]), 2)), 2).swapaxes(-1, -2)
             dpx = np.empty_like(px)
             du = db = None
             dh = gs[:, :, -1]
             for t in range(steps - 1, -1, -1):
                 hp, zr, rh, c = saved[t]
                 dah = dh * zr[0] * (1.0 - c * c)
-                drh = pairs((dah[ab] * flip) @ ut[2])
+                drh = pairs(dah @ ut[2])
                 dzr = np.stack((dh * c - dh * hp, drh * hp)) * zr * (1.0 - zr)
                 dpre = np.concatenate((dzr, dah[None]))
                 dpx[:, :, :, t] = dpre
-                a = np.stack((hp, hp, rh))[:, [0, 1, 1, 0]] * flip
-                du_t, db_t = pairs(a.swapaxes(-1, -2) @ dpre[:, ab]), dpre.sum(axis=2)
+                du_t, db_t = pairs(at[t] @ dpre[:, None]), dpre.sum(axis=2)
                 du, db = (du_t, db_t) if du is None else (du + du_t, db + db_t)
                 if t:  # h_{t-1} feeds output t-1 and, in this step, the gating,
                     # r .* h, h U_r and h U_z: the tape walk adds them in that order
-                    via_u = pairs((dzr[:, ab] * flip) @ ut[:2])
+                    via_u = pairs(dzr[:, None] @ ut[:2])
                     dh = ((gs[:, :, t - 1] + dh * (1.0 - zr[0])) + drh * zr[1]) + via_u[1]
                     dh = dh + via_u[0]
             dx = None
