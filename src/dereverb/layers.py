@@ -96,13 +96,10 @@ def _conv_out_dim(n, k, s, p):
     return (n + 2 * p - k) // s + 1
 
 
-def _im2col(xr, xi, k, s, lo, step, size):
-    """Patch matrix [B*To*Fo, kt*kf*2C] at stride s, and (B, To, Fo), of the zero
-    map [B, *size, 2C] holding [xr | xi] of two [B, T, F, C] parts: per spatial
-    axis, input row i sits on map row lo + step*i, and rows outside [0, size)
-    are dropped, so a negative ``lo`` crops.  Columns run (kt, kf, 2C), channels
-    fastest, so a patch copies whole channel runs; they match :func:`_block`'s rows.
-    """
+def _padded(xr, xi, lo, step, size):
+    """The zero map [B, *size, 2C] holding [xr | xi] of two [B, T, F, C] parts:
+    per spatial axis, input row i sits on map row lo + step*i, and rows outside
+    [0, size) are dropped, so a negative ``lo`` crops."""
     c = xr.shape[-1]
     m = np.zeros((xr.shape[0], *size, 2 * c), dtype=xr.dtype)
     src, dst = [slice(None)], [slice(None)]
@@ -113,6 +110,13 @@ def _im2col(xr, xi, k, s, lo, step, size):
         dst.append(slice(l + st * first, l + st * last, st))
     m[(*dst, slice(None, c))] = xr[tuple(src)]
     m[(*dst, slice(c, None))] = xi[tuple(src)]
+    return m
+
+
+def _windows(m, k, s):
+    """Patch matrix [B*To*Fo, kt*kf*2C] of the map ``m`` at stride s, and
+    (B, To, Fo).  Columns run (kt, kf, 2C), channels fastest, so a patch copies
+    whole channel runs; they match :func:`_block`'s rows."""
     v = sliding_window_view(m, k, axis=(1, 2))[:, :: s[0], :: s[1]]
     b, to, fo = v.shape[:3]
     return np.ascontiguousarray(v.transpose(0, 1, 2, 4, 5, 3)).reshape(b * to * fo, -1), (b, to, fo)
@@ -140,7 +144,7 @@ def _input_adjoint(gr, gi, blk, s, p, n):
     size = [nn + kk - 1 for nn, kk in zip(n, k)]
     # the mirror image of row k-1-p + s*i of the padded map holds mirrored row i
     lo = [sz - kk + pp - ss * (g - 1) for sz, kk, pp, ss, g in zip(size, k, p, s, gr.shape[1:3])]
-    cols, dims = _im2col(gr[:, ::-1, ::-1], gi[:, ::-1, ::-1], k, (1, 1), lo, s, size)
+    cols, dims = _windows(_padded(gr[:, ::-1, ::-1], gi[:, ::-1, ::-1], lo, s, size), k, (1, 1))
     rows = (cols @ blk.transpose(0, 1, 3, 2).reshape(cols.shape[1], -1)).reshape(dims + (-1,))
     return rows[:, ::-1, ::-1].reshape(len(cols), -1)
 
@@ -187,9 +191,11 @@ def complex_conv2d(x, w, stride=1, padding=0):
         )
 
     blk = _block(w.real, w.imag)
-    cols, dims = _im2col(xr, xi, k, s, p, (1, 1), (t_in + 2 * p[0], f_in + 2 * p[1]))
+    m = _padded(xr, xi, p, (1, 1), (t_in + 2 * p[0], f_in + 2 * p[1]))
+    cols, dims = _windows(m, k, s)
     yr, yi = _parts(cols @ blk.reshape(cols.shape[1], -1), dims + (c_out,))
-    # the vjps hold shapes only: keeping x alive until backward costs memory
+    # the tape keeps the padded map (about 1.1x the input), not the patch matrix
+    # (kt*kf/stride times it): vjp_w copies the same windows out of the map again
     in_shape = x.shape
 
     def vjp_x(gr, gi):
@@ -197,7 +203,7 @@ def complex_conv2d(x, w, stride=1, padding=0):
         return _parts(rows, in_shape)
 
     def vjp_w(gr, gi):
-        return _kernel_grad(cols, gr, gi, k)
+        return _kernel_grad(_windows(m, k, s)[0], gr, gi, k)
 
     return _emit("complex_conv2d", yr, yi, [(x, vjp_x), (w, vjp_w)])
 
@@ -229,7 +235,7 @@ def complex_conv_transpose2d(x, w, stride, padding, output_spatial):
 
     def grads(gr, gi):
         """Gradients of x and w from one im2col of the output gradient."""
-        cols = _im2col(gr, gi, k, s, p, (1, 1), padded)[0]
+        cols = _windows(_padded(gr, gi, p, (1, 1), padded), k, s)[0]
         ga, gb_conj = _kernel_grad(cols, xr, xi, k)
         return [_parts(cols @ blk.reshape(cols.shape[1], -1), in_shape), (ga, -gb_conj)]
 
@@ -317,22 +323,33 @@ class ComplexBatchNorm:
         """
         if x.ndim < 2:
             raise ShapeError(f"batchnorm input must have rank >= 2, got {x.shape}")
-        axes = tuple(range(x.ndim - 1))
-        n = math.prod(x.shape[:-1])
+        shape, axes = x.shape, tuple(range(x.ndim - 1))
+        n = math.prod(shape[:-1])
+        # the statistics accumulate in float64 and round once to the map's dtype:
+        # a float32 sum over n rows loses the small variances that whitening divides by
+        mean = lambda v: v.mean(axis=axes, dtype=np.float64).astype(v.dtype)
+        total = lambda v: v.reshape(shape).sum(axis=axes, dtype=np.float64).astype(v.dtype)
+        # elementwise passes view the maps as rows of the last two axes and tile
+        # each per-channel operand along a row, so numpy's inner loops run a row
+        # long, not C: the same products in the same order
+        reps = shape[-2] if x.ndim > 2 else 1
+        rows = lambda v: v.reshape(-1, reps * shape[-1])
+        tile = lambda v: np.tile(v, reps)
 
         if training:
             if n < 2:
                 raise ContractError(
                     f"batchnorm needs >= 2 samples per channel in training mode, got {n}"
                 )
-            mu = x.real.mean(axis=axes), x.imag.mean(axis=axes)
+            mu = mean(x.real), mean(x.imag)
             xr, xi = x.real - mu[0], x.imag - mu[1]
-            vrr, vii, vri = ((u * v).mean(axis=axes) for u, v in ((xr, xr), (xi, xi), (xr, xi)))
+            vrr, vii, vri = (mean(u * v) for u, v in ((xr, xr), (xi, xi), (xr, xi)))
             self._running *= 1 - self.momentum
             self._running += self.momentum * np.stack([mu[0], mu[1], vrr, vri, vii])
         else:
             mean_r, mean_i, vrr, vri, vii = self._running
             xr, xi = x.real - mean_r, x.imag - mean_i
+        xr, xi = rows(xr), rows(xi)
 
         # analytic inverse square root of [[a, b], [b, c]] + eps*I
         eps = vrr.dtype.type(self.eps)
@@ -344,22 +361,24 @@ class ComplexBatchNorm:
         st = s * t
         inv = np.power(st, -1.0)
         c_s, a_s, neg_b = c + s, a + s, -b
-        w_rr, w_ii, w_ri = c_s * inv, a_s * inv, neg_b * inv
+        w_rr, w_ii, w_ri = (tile(v * inv) for v in (c_s, a_s, neg_b))
         white_r, white_i = w_rr * xr + w_ri * xi, w_ii * xi + w_ri * xr
 
         gd, go, beta = self.gamma_d, self.gamma_o, self.beta
-        out_r = (gd.real * white_r + go.real * white_i) + beta.real
-        out_i = (gd.imag * white_i + go.imag * white_r) + beta.imag
+        out_r = (tile(gd.real) * white_r + tile(go.real) * white_i) + tile(beta.real)
+        out_i = (tile(gd.imag) * white_i + tile(go.imag) * white_r) + tile(beta.imag)
 
         def grads(gr, gi):
             """Gradients of x, gamma_d, gamma_o and beta: each input's terms
             added in the order the chain's tape walk adds them.  ``d_<v>`` is
             the gradient of forward value ``v``; dwr, dwi that of white."""
-            total = lambda v: v.sum(axis=axes)
-            g_gd = total(gr * white_r), total(gi * white_i)
-            g_go = total(gr * white_i), total(gi * white_r)
+            # gr and gi can be strided views of a conv's gradient rows: they
+            # keep the map's shape, as a copy would add a map per call
+            wr, wi = white_r.reshape(shape), white_i.reshape(shape)
+            g_gd = total(gr * wr), total(gi * wi)
+            g_go = total(gr * wi), total(gi * wr)
             g_beta = total(gr), total(gi)
-            dwr, dwi = gi * go.imag + gr * gd.real, gr * go.real + gi * gd.imag
+            dwr, dwi = rows(gi * go.imag + gr * gd.real), rows(gr * go.real + gi * gd.imag)
             dxr, dxi = dwi * w_ri + dwr * w_rr, dwr * w_ri + dwi * w_ii
             if training:
                 d_rr, d_ii = total(dwr * xr), total(dwi * xi)
@@ -372,17 +391,17 @@ class ComplexBatchNorm:
                 # the mean's gradient rows for a, c and b, spread over the samples
                 d_a = ((d_a_s + d_q) + d_delta * c) * (1.0 / n)
                 d_c = ((d_c_s + d_q) + d_delta * a) * (1.0 / n)
-                d_b = ((-(d_ri * inv) + -d_delta * b) + -d_delta * b) * (1.0 / n)
+                d_b = tile(((-(d_ri * inv) + -d_delta * b) + -d_delta * b) * (1.0 / n))
                 for dx, own, cross, d_own in ((dxr, xr, xi, d_a), (dxi, xi, xr, d_c)):
                     dx += d_b * cross
-                    term = d_own * own  # the variance's square adds it twice
+                    term = tile(d_own) * own  # the variance's square adds it twice
                     dx += term
                     dx += term
-                    dx += -total(dx) * (1.0 / n)  # through the mean
-            return [(dxr, dxi), g_gd, g_go, g_beta]
+                    dx += tile(-total(dx) * (1.0 / n))  # through the mean
+            return [(dxr.reshape(shape), dxi.reshape(shape)), g_gd, g_go, g_beta]
 
         srcs = list(zip((x, gd, go, beta), _shared_vjps(grads, 4)))
-        return _emit("batchnorm", out_r, out_i, srcs)
+        return _emit("batchnorm", out_r.reshape(shape), out_i.reshape(shape), srcs)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,7 +54,22 @@ def mean_axes(a, axes):
             np.broadcast_to(gi * inv_n, shape).copy(),
         )
 
-    return ct._emit("mean_axes", a.real.mean(axis=axes), a.imag.mean(axis=axes), [(a, vjp)])
+    means = (p.mean(axis=axes, dtype=np.float64).astype(p.dtype) for p in (a.real, a.imag))
+    return ct._emit("mean_axes", *means, [(a, vjp)])
+
+
+def unbroadcast64(grad, shape):
+    """``ct._unbroadcast`` with its sums accumulated in float64 and rounded
+    once to the gradient's dtype, as batchnorm accumulates its statistics."""
+    if grad.shape == shape:
+        return grad
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)), dtype=np.float64).astype(grad.dtype)
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True, dtype=np.float64).astype(grad.dtype)
+    return grad
 
 
 def real_part(a):
@@ -200,6 +216,34 @@ class TestComplexConv2d:
             return ct.sum_abs2(ct.crelu(ly.complex_conv2d(x, w, stride=(1, 2), padding=1)))
 
         assert check_gradients(build, [x, w]) < 1e-4
+
+    def test_tape_holds_padded_map_not_patch_matrix(self):
+        # until backward, the node keeps the zero-padded [x_r | x_i] map (83 kB
+        # here, 1.3x the input) and vjp_w re-forms the patch matrix from it:
+        # 90 kB held beside the output, against 597 kB with the patch matrix
+        rng = np.random.default_rng(36)
+        x, w = rand_ct(rng, 4, 16, 16, 4), rand_ct(rng, 4, 4, 3, 3)
+        s, p, k = (1, 1), (1, 1), (3, 3)
+        tape = ct.GradTape()
+        for t in (x, w):
+            tape.watch(t)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            y = ly.complex_conv2d(x, w, stride=s, padding=p)
+            held = tracemalloc.get_traced_memory()[0] - before - 2 * y.real.nbytes
+        finally:
+            tracemalloc.stop()
+        assert held < 2 * (2 * x.real.itemsize * 4 * 18 * 18 * 4)  # twice the padded map
+        vjp_x, vjp_w = tape.nodes[y.node_id].vjps
+        gr, gi = rng.standard_normal((2,) + y.shape)
+        cols = ly._windows(ly._padded(x.real, x.imag, p, (1, 1), (18, 18)), k, s)[0]
+        for got, want in zip(vjp_w(gr, gi), ly._kernel_grad(cols, gr, gi, k)):
+            np.testing.assert_array_equal(got, want)
+        blk = ly._block(w.real, w.imag)
+        rows = ly._input_adjoint(gr, gi, blk, s, p, (16, 16))
+        for got, want in zip(vjp_x(gr, gi), ly._parts(rows, x.shape)):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestComplexConvTranspose2d:
@@ -387,7 +431,9 @@ def _swap_parts(x):
 def taped_batchnorm(self, x, training):
     """Reference batchnorm: ``ComplexBatchNorm.__call__`` as a chain of generic
     tape ops, 45 nodes per training-mode call.  Updates ``self``'s running
-    stats as the layer does."""
+    stats as the layer does.  Its means accumulate in float64; run its
+    backward with ``ct._unbroadcast`` as :func:`unbroadcast64` for the
+    layer's float64 gradient sums."""
     if x.ndim < 2:
         raise ShapeError(f"batchnorm input must have rank >= 2, got {x.shape}")
     axes = tuple(range(x.ndim - 1))
@@ -559,12 +605,17 @@ class TestComplexBatchNorm:
         bn, ref, x, probe = self._oracle_case(60, shape, dtype, training, flat_spread)
         params = [x, bn.gamma_d, bn.gamma_o, bn.beta]
         ref_params = [x, ref.gamma_d, ref.gamma_o, ref.beta]
-        outs, grads = [], []
-        for call, ps in ((bn, params), (lambda t, m: taped_batchnorm(ref, t, m), ref_params)):
-            outs.append(call(x, training))
+
+        def run(call, ps):
             # crelu's mask gives the output gradient exact zeros of both signs
             loss = lambda: sum_all(real_part(ct.cmul(ct.crelu(call(x, training)), probe)))
-            grads.append(ct.gradients(loss, ps)[1])
+            return call(x, training), ct.gradients(loss, ps)[1]
+
+        fused = run(bn, params)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ct, "_unbroadcast", unbroadcast64)
+            chain = run(lambda t, m: taped_batchnorm(ref, t, m), ref_params)
+        outs, grads = zip(fused, chain)
         assert outs[0].dtype == outs[1].dtype == dtype
         np.testing.assert_array_equal(outs[0].real, outs[1].real)
         np.testing.assert_array_equal(outs[0].imag, outs[1].imag)
@@ -589,6 +640,32 @@ class TestComplexBatchNorm:
         # eps^2 = 1e-10, under the GRAD_EPS floor of d sqrt(delta); a small
         # spread keeps a gradient flowing through the floored factor
         self._assert_bit_identical((2, 5, 4, 3), dtype, True, flat_spread=spread)
+
+    def test_float32_statistics_follow_float64(self):
+        # a paper-scale count of samples per channel, parts correlated to 1e-2
+        # and means far from zero, so delta = a*c - b*b cancels.  Relative L2
+        # error of float32 against float64, statistics summed in float32:
+        # 1.3e-2 (output) and 1.9e-2 (input gradient); summed in float64:
+        # 1.0e-4 and 1.5e-4
+        shape = (1, 256, 129, 2)
+        rng = np.random.default_rng(70)
+        r = rng.standard_normal(shape)
+        parts = (3.0 + r, 6.0 + r + 1e-2 * rng.standard_normal(shape))
+        probe = rng.standard_normal((2,) + shape)
+        got = []
+        for dtype in (np.float64, np.float32):
+            bn = ly.ComplexBatchNorm(2, dtype=dtype)
+            x, pb = (ComplexTensor(*(p.astype(dtype) for p in ps)) for ps in (parts, probe))
+            out = []
+
+            def loss():
+                out.append(bn(x, training=True))
+                return sum_all(real_part(ct.cmul(out[0], pb)))
+
+            (dxr, dxi), = ct.gradients(loss, [x])[1]
+            got.append((out[0].to_complex(), dxr + 1j * dxi))
+        for want, have in zip(*got):
+            assert np.linalg.norm(have - want) / np.linalg.norm(want) < 1e-3
 
     @pytest.mark.parametrize("training", [True, False])
     def test_bit_identical_rank3(self, training):
