@@ -23,9 +23,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import ctensor as ct
-from .ctensor import ComplexTensor
+from .ctensor import ComplexTensor, _cmm, _cmm_vjp_a, _cmm_vjp_b, _emit, _reduce_to
+from .ctensor import _softmax, _softmax_vjp
 from .errors import ConfigError, ContractError, ShapeError
-from .layers import orthogonal_pair_init, unitary_init
+from .layers import _shared_vjps, orthogonal_pair_init, unitary_init
 
 AXES = ("time", "frequency")
 
@@ -37,26 +38,55 @@ def _check_input(x, axis):
         raise ShapeError(f"attention input must be a [B, T, F, C] batch, got {x.shape}")
 
 
-def _to_rows(x, axis):
-    """[B, T, F, C] -> (rows [B, L, D], undo) where L is the chosen axis."""
-    b, t, f, c = x.shape
+def _rows(p, axis):
+    """A [B, T, F, C] part as rows [B, L, D], L the chosen axis; frequency rows are a copy."""
+    b, t, f, c = p.shape
     if axis == "time":
-        rows = ct.reshape(x, (b, t, f * c))
-        undo = lambda m: ct.reshape(m, x.shape)
-    else:
-        swap = (0, 2, 1, 3)
-        perm = ct.permute(x, swap)
-        rows = ct.reshape(perm, (b, f, t * c))
-        undo = lambda m: ct.permute(ct.reshape(m, perm.shape), swap)
-    return rows, undo
+        return p.reshape(b, t, f * c)
+    return np.ascontiguousarray(p.transpose(0, 2, 1, 3)).reshape(b, f, t * c)
+
+
+def _from_rows(p, shape, axis):
+    """Rows [B, L, D] as a [B, T, F, C] part of ``shape``: the inverse of :func:`_rows`,
+    a strided view for frequency rows."""
+    b, t, f, c = shape
+    if axis == "time":
+        return p.reshape(shape)
+    return p.reshape(b, f, t, c).transpose(0, 2, 1, 3)
+
+
+# per-part products (a_r @ b_r, a_i @ b_i) of (real, imag) part pairs and their vjps
+def _split_mm(a, b):
+    return a[0] @ b[0], a[1] @ b[1]
+
+
+def _split_vjp_a(g, b):
+    return g[0] @ b[0].swapaxes(-1, -2), g[1] @ b[1].swapaxes(-1, -2)
+
+
+def _split_vjp_b(a, g):
+    return a[0].swapaxes(-1, -2) @ g[0], a[1].swapaxes(-1, -2) @ g[1]
+
+
+# Each branch is one tape node with a hand-written vjp.  Forward and vjp run the
+# numpy expressions of the branch written as generic tape ops (reshape, permute,
+# matmul or matmul_split, transpose, softmax) on the same operand layouts, and x
+# is listed once per use in the order the tape walk met those uses, so outputs
+# and gradients equal that chain's bit for bit (the oracle `taped_branch` in
+# tests/taped_ops.py).  A map's vjp runs once: it takes the saved arrays and
+# drops each after its last use, so backward reuses their memory.  Held to the
+# end of the vjp, they made a desk step's attention vjps fault in fresh pages,
+# and the fused backward ran slower than the chain's.
 
 
 class _ProjectedSA:
     """Attention over Q/K/V projections of the channels, one set per axis.
 
-    Subclasses set ``_init``, the weight init; ``_product``, the op that
-    applies the projections and the attention map; and ``_weights``, which
-    forms the map from the Q and K rows and fills ``collect``.
+    Subclasses set ``_init``, the weight init; ``_product`` with its vjps
+    ``_product_vjp_a`` / ``_product_vjp_b``, the projection of the channels;
+    ``_attend(q, k, v, collect)``, which forms the map from the Q and K rows,
+    fills ``collect``, and returns the map applied to the V rows and a vjp
+    that returns the gradients of q, k and v; and ``op``, the node's name.
     """
 
     def __init__(self, channels_cc, *, rng, dtype=np.float64):
@@ -75,21 +105,35 @@ class _ProjectedSA:
             for name in ("q", "k", "v")
         ]
 
-    def _project(self, x, axis, name):
-        flat = ct.reshape(x, (x.shape[0], -1, self.channels_cc))
-        return ct.reshape(self._product(flat, self.proj[(axis, name)]), x.shape)
-
     def branch(self, x, axis, collect=None):
-        """Attention along ``axis`` of a [B, T, F, C] batch.
+        """Attention along ``axis`` of a [B, T, F, C] batch, one tape node.
 
-        ``collect`` receives the attention maps, [B, L, L].
+        ``collect`` receives the attention maps, [B, L, L].  The node saves
+        the input parts, the Q, K^T (or K^H) and V rows and what the map's
+        vjp reads.
         """
         _check_input(x, axis)
-        q, _ = _to_rows(self._project(x, axis, "q"), axis)
-        k, _ = _to_rows(self._project(x, axis, "k"), axis)
-        v, undo = _to_rows(self._project(x, axis, "v"), axis)
-        w = self._weights(q, k, collect)
-        return undo(self._product(w, v))
+        shape = x.shape
+        flat = [p.reshape(shape[0], -1, self.channels_cc) for p in (x.real, x.imag)]
+        ws = [self.proj[(axis, name)] for name in ("q", "k", "v")]
+        q, k, v = (
+            [_rows(p.reshape(shape), axis) for p in self._product(flat, (w.real, w.imag))]
+            for w in ws
+        )
+        a, attend_vjp = self._attend(q, k, v, collect)
+        out = [np.ascontiguousarray(_from_rows(p, shape, axis)) for p in a]
+
+        def grads(gr, gi):
+            """Gradients of x from V, K and Q, the order in which the tape walk
+            meets the projections, then of W_v, W_k and W_q."""
+            gx, gw = [], []
+            for g, w in zip(attend_vjp(_rows(gr, axis), _rows(gi, axis))[::-1], ws[::-1]):
+                g = [_from_rows(p, shape, axis).reshape(flat[0].shape) for p in g]
+                gx.append([p.reshape(shape) for p in self._product_vjp_a(g, (w.real, w.imag))])
+                gw.append([_reduce_to(p, w.shape) for p in self._product_vjp_b(flat, g)])
+            return gx + gw
+
+        return _emit(self.op, *out, list(zip([x] * 3 + ws[::-1], _shared_vjps(grads, 6))))
 
     __call__ = branch
 
@@ -97,32 +141,79 @@ class _ProjectedSA:
 class ConventionalSA(_ProjectedSA):
     """Softmax attention applied to real and imaginary parts independently."""
 
+    op = "conventional_branch"
     _init = staticmethod(orthogonal_pair_init)
-    _product = staticmethod(ct.matmul_split)
+    _product = staticmethod(_split_mm)
+    _product_vjp_a = staticmethod(_split_vjp_a)
+    _product_vjp_b = staticmethod(_split_vjp_b)
 
     @staticmethod
-    def _weights(q, k, collect):
-        w = ct.softmax_rows_split(ct.matmul_split(q, ct.transpose(k)))
+    def _attend(q, k, v, collect):
+        kt = k[0].swapaxes(-1, -2).copy(), k[1].swapaxes(-1, -2).copy()
+        w = [_softmax(p) for p in _split_mm(q, kt)]
         if collect is not None:
-            collect["weights_real"] = w.real.copy()
-            collect["weights_imag"] = w.imag.copy()
-        return w
+            collect["weights_real"] = w[0].copy()
+            collect["weights_imag"] = w[1].copy()
+
+        saved = [q, kt, v, w]
+
+        def vjp(gr, gi):
+            q, kt, v, w = saved
+            saved.clear()
+            ga = gr, gi
+            gw, gv = _split_vjp_a(ga, v), _split_vjp_b(w, ga)
+            gl = [_softmax_vjp(g, p) for g, p in zip(gw, w)]
+            del v, w, gw
+            gkt = _split_vjp_b(q, gl)
+            del q
+            return _split_vjp_a(gl, kt), [p.swapaxes(-1, -2) for p in gkt], gv
+
+        return _split_mm(w, v), vjp
 
 
 class ComplexTFSA(_ProjectedSA):
-    """Fully complex attention: one attention map from |Q K^H| for both parts."""
+    """Fully complex attention: one attention map from |Q K^H| for both parts.
 
+    The map is real: its product with V and the two vjps of that product skip
+    the real products with its zero imaginary part (two of four each).  That
+    drops an exact zero from each sum, which can flip the sign of an entry
+    that is zero.
+    """
+
+    op = "complex_branch"
     _init = staticmethod(unitary_init)
-    _product = staticmethod(ct.matmul)
+    _product = staticmethod(_cmm)
+    _product_vjp_a = staticmethod(_cmm_vjp_a)
+    _product_vjp_b = staticmethod(_cmm_vjp_b)
 
     @staticmethod
-    def _weights(q, k, collect):
-        corr = ct.matmul(q, ct.hermitian_transpose(k))
-        w = ct.softmax_rows(ct.magnitude(corr))
+    def _attend(q, k, v, collect):
+        kh = k[0].swapaxes(-1, -2).copy(), -k[1].swapaxes(-1, -2)
+        corr = _cmm(q, kh)
+        m = np.hypot(*corr)
+        safe = np.where(m == 0.0, 1.0, m)
+        w = _softmax(m)
         if collect is not None:
-            collect["corr"] = corr.to_complex()
-            collect["weights"] = w.real.copy()
-        return w
+            collect["corr"] = corr[0] + 1j * corr[1]
+            collect["weights"] = w.copy()
+
+        saved = [q, kh, v, w, corr, safe]
+
+        def vjp(gr, gi):
+            q, kh, (vr, vi), w, (cr, ci), safe = saved
+            saved.clear()
+            # the map's gradient: its real part only, as its imaginary part is 0
+            gw = gr @ vr.swapaxes(-1, -2) + gi @ vi.swapaxes(-1, -2)
+            gv = w.swapaxes(-1, -2) @ gr, w.swapaxes(-1, -2) @ gi
+            gm = _softmax_vjp(gw, w)
+            del vr, vi, w, gw
+            gc = gm * cr / safe, gm * ci / safe
+            del gm, cr, ci, safe
+            gkh = _cmm_vjp_b(q, gc)
+            del q
+            return _cmm_vjp_a(gc, kh), (gkh[0].swapaxes(-1, -2), -gkh[1].swapaxes(-1, -2)), gv
+
+        return (w @ v[0], w @ v[1]), vjp
 
 
 class Sdab:
@@ -149,19 +240,33 @@ class Sdab:
         return out
 
     def branch(self, x, axis, collect=None):
-        """Reweighting along ``axis`` of a [B, T, F, C] batch."""
+        """Reweighting along ``axis`` of a [B, T, F, C] batch, one tape node
+        that saves the input parts, not their rows."""
         _check_input(x, axis)
         t, f = x.shape[-3:-1]
         if (t, f) != (self.t_dim, self.f_dim):
             raise ContractError(
                 f"SDAB configured for {self.t_dim}x{self.f_dim} input, got {t}x{f}"
             )
-        rows, undo = _to_rows(x, axis)
-        out = ct.add(ct.matmul_split(self.fc[axis], rows), self.bias[axis])
+        fc, bias, shape = self.fc[axis], self.bias[axis], x.shape
+        parts, w = (x.real, x.imag), (fc.real, fc.imag)
+        mm = _split_mm(w, [_rows(p, axis) for p in parts])
+        out = [np.ascontiguousarray(_from_rows(p, shape, axis))
+               for p in (mm[0] + bias.real, mm[1] + bias.imag)]
         if collect is not None:
-            collect["weights_real"] = self.fc[axis].real.copy()
-            collect["weights_imag"] = self.fc[axis].imag.copy()
-        return undo(out)
+            collect["weights_real"] = fc.real.copy()
+            collect["weights_imag"] = fc.imag.copy()
+
+        def grads(gr, gi):
+            """Gradients of x, the weights and the bias."""
+            g = _rows(gr, axis), _rows(gi, axis)
+            g_bias = [_reduce_to(p, bias.shape) for p in g]
+            rows = [_rows(p, axis) for p in parts]
+            g_fc = [_reduce_to(p, fc.shape) for p in _split_vjp_a(g, rows)]
+            gx = [_from_rows(p, shape, axis) for p in _split_vjp_b(w, g)]
+            return [gx, g_fc, g_bias]
+
+        return _emit("sdab_branch", *out, list(zip((x, fc, bias), _shared_vjps(grads, 3))))
 
     __call__ = branch
 

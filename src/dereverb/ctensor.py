@@ -254,29 +254,27 @@ def _reduce_to(grad, shape):
 
 def add(a, b):
     """Elementwise a + b with numpy broadcasting."""
-    out_r = a.real + b.real
-    out_i = a.imag + b.imag
+    sa, sb = a.shape, b.shape  # the vjps keep the shapes, not the operands
     return _emit(
         "add",
-        out_r,
-        out_i,
+        a.real + b.real,
+        a.imag + b.imag,
         [
-            (a, lambda gr, gi: (_reduce_to(gr, a.shape), _reduce_to(gi, a.shape))),
-            (b, lambda gr, gi: (_reduce_to(gr, b.shape), _reduce_to(gi, b.shape))),
+            (a, lambda gr, gi: (_reduce_to(gr, sa), _reduce_to(gi, sa))),
+            (b, lambda gr, gi: (_reduce_to(gr, sb), _reduce_to(gi, sb))),
         ],
     )
 
 
 def sub(a, b):
-    out_r = a.real - b.real
-    out_i = a.imag - b.imag
+    sa, sb = a.shape, b.shape
     return _emit(
         "sub",
-        out_r,
-        out_i,
+        a.real - b.real,
+        a.imag - b.imag,
         [
-            (a, lambda gr, gi: (_unbroadcast(gr, a.shape), _unbroadcast(gi, a.shape))),
-            (b, lambda gr, gi: (_unbroadcast(-gr, b.shape), _unbroadcast(-gi, b.shape))),
+            (a, lambda gr, gi: (_unbroadcast(gr, sa), _unbroadcast(gi, sa))),
+            (b, lambda gr, gi: (_unbroadcast(-gr, sb), _unbroadcast(-gi, sb))),
         ],
     )
 
@@ -396,9 +394,10 @@ def compress_mag(a, c):
 
 
 def _cmm(a, b):
-    """Complex product of (real, imag) part pairs.  :func:`matmul` and the fused
-    GRU's input projections form their products and vjps with these three; the
-    GRU recurrence batches the same four real products, so all round alike."""
+    """Complex product of (real, imag) part pairs.  :func:`matmul`, the fused
+    GRU's input projections and the complex attention branch form their products
+    and vjps with these three; the GRU recurrence batches the same four real
+    products, so all round alike."""
     (ar, ai), (br, bi) = a, b
     return ar @ br - ai @ bi, ar @ bi + ai @ br
 
@@ -445,76 +444,24 @@ def matmul(a, b):
     )
 
 
-def matmul_split(a, b):
-    """Per-part matrix product (a_r @ b_r, a_i @ b_i), batched like :func:`matmul`."""
-    _check_matmul("matmul_split", a, b)
-    out_r = a.real @ b.real
-    out_i = a.imag @ b.imag
-
-    def vjp_a(gr, gi):
-        return (gr @ b.real.swapaxes(-1, -2), gi @ b.imag.swapaxes(-1, -2))
-
-    def vjp_b(gr, gi):
-        return (a.real.swapaxes(-1, -2) @ gr, a.imag.swapaxes(-1, -2) @ gi)
-
-    return _emit(
-        "matmul_split", out_r, out_i, [(a, _reduced(vjp_a, a)), (b, _reduced(vjp_b, b))]
-    )
-
-
-def _check_matrices(op, a):
-    if a.ndim not in (2, 3):
-        raise ShapeError(f"{op} needs a matrix or a batch of them, got shape {a.shape}")
-
-
-def hermitian_transpose(a):
-    """Conjugate transpose of the last two axes of a rank-2 or rank-3 tensor."""
-    _check_matrices("hermitian_transpose", a)
-    return _emit(
-        "hermitian_transpose",
-        a.real.swapaxes(-1, -2).copy(),
-        -a.imag.swapaxes(-1, -2),
-        [(a, lambda gr, gi: (gr.swapaxes(-1, -2), -gi.swapaxes(-1, -2)))],
-    )
-
-
-def transpose(a):
-    """Plain (non-conjugating) transpose of the last two axes, like
-    :func:`hermitian_transpose`."""
-    _check_matrices("transpose", a)
-    return _emit(
-        "transpose",
-        a.real.swapaxes(-1, -2).copy(),
-        a.imag.swapaxes(-1, -2).copy(),
-        [(a, lambda gr, gi: (gr.swapaxes(-1, -2), gi.swapaxes(-1, -2)))],
-    )
+def _flush(a):
+    """Set the entries of ``a`` whose magnitude is below the smallest normal number of
+    its dtype to 0, in place: arithmetic on subnormal numbers is slow on most processors."""
+    a[np.abs(a) < np.finfo(a.dtype).smallest_normal] = 0
+    return a
 
 
 def _softmax(x):
     """Row-softmax of a real array along its last axis, with per-row max subtraction
-    (analytically identical, overflow-safe)."""
+    (analytically identical, overflow-safe); subnormal weights are flushed to 0."""
     z = x - x.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return _flush(e / e.sum(axis=-1, keepdims=True))
 
 
 def _softmax_vjp(g, s):
     inner = (g * s).sum(axis=-1, keepdims=True)
-    return s * (g - inner)
-
-
-def softmax_rows(a):
-    """Row-softmax of the real part along the last axis; imag output is zero."""
-    s = _softmax(a.real)
-    vjp = lambda gr, gi: (_softmax_vjp(gr, s), np.zeros_like(s))
-    return _emit("softmax_rows", s, np.zeros_like(s), [(a, vjp)])
-
-
-def softmax_rows_split(a):
-    """Row-softmax applied to real and imaginary parts independently."""
-    sr, si = _softmax(a.real), _softmax(a.imag)
-    vjp = lambda gr, gi: (_softmax_vjp(gr, sr), _softmax_vjp(gi, si))
-    return _emit("softmax_rows_split", sr, si, [(a, vjp)])
+    return _flush(s * (g - inner))
 
 
 # ---------------------------------------------------------------------------
@@ -530,17 +477,6 @@ def reshape(a, shape):
         a.real.reshape(shape),
         a.imag.reshape(shape),
         [(a, lambda gr, gi: (gr.reshape(old), gi.reshape(old)))],
-    )
-
-
-def permute(a, axes):
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    return _emit(
-        "permute",
-        np.ascontiguousarray(a.real.transpose(axes)),
-        np.ascontiguousarray(a.imag.transpose(axes)),
-        [(a, lambda gr, gi: (gr.transpose(inv), gi.transpose(inv)))],
     )
 
 

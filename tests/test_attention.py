@@ -5,6 +5,7 @@ import pytest
 
 from dereverb import ctensor as ct
 from dereverb.attention import (
+    AXES,
     ComplexTFSA,
     ConventionalSA,
     Sdab,
@@ -16,7 +17,7 @@ from dereverb.errors import ConfigError, ContractError, ShapeError
 from dereverb.gradcheck import check_gradients
 from dereverb.layers import complex_conv2d, complex_conv_transpose2d
 from dereverb.model import DccrnModel, ModelConfig
-from taped_ops import index_axis, stack
+from taped_ops import index_axis, stack, taped_block, taped_branch, taped_project
 
 
 def rand_ct(rng, *shape):
@@ -59,6 +60,18 @@ def desk_maps():
 DESK_MAPS = desk_maps()
 
 
+def fused_and_taped(block):
+    """(fused, oracle) pairs of callables of a batch and a ``collect`` dict: the
+    block, then its mechanism's branch along each axis."""
+    mech = block.mechanism
+    yield (lambda x, maps: block(x)), (lambda x, maps: taped_block(block, x))
+    for axis in AXES:
+        yield (
+            lambda x, maps, axis=axis: mech.branch(x, axis, maps),
+            lambda x, maps, axis=axis: taped_branch(mech, x, axis, maps),
+        )
+
+
 def naive_softmax_rows(m):
     out = np.zeros_like(m)
     for i in range(m.shape[0]):
@@ -73,7 +86,7 @@ class TestConventionalSA:
         sa = ConventionalSA(2, rng=rng)
         x = rand_ct(rng, 1, 1, 3, 2)  # T = 1 along the time axis
         out = sa.branch(x, "time").to_complex()
-        v = sa._project(x, "time", "v").to_complex()
+        v = taped_project(sa, x, "time", "v").to_complex()
         np.testing.assert_allclose(out, v, atol=1e-12)
 
     def test_equal_correlations_average_value_rows(self):
@@ -84,7 +97,7 @@ class TestConventionalSA:
         wq.imag[:] = 0.0
         x = rand_ct(rng, 1, 4, 3, 2)
         out = sa.branch(x, "time").to_complex()[0]
-        v = rows_time(sa._project(x, "time", "v").to_complex()[0])
+        v = rows_time(taped_project(sa, x, "time", "v").to_complex()[0])
         mean_row = v.mean(axis=0)
         want = np.broadcast_to(mean_row, v.shape).reshape(4, 3, 2)
         np.testing.assert_allclose(out, want, atol=1e-12)
@@ -327,6 +340,39 @@ class TestTFAttentionBlock:
             ):
                 assert g.dtype == dtype
                 np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("variant", ["sdab", "conventional", "complex"])
+    def test_fused_nodes_bit_identical_to_taped_chain(self, variant, dtype, batch):
+        # each branch is one tape node; it equals the branch written as generic
+        # tape ops bit for bit: outputs, maps and every gradient, on x given as
+        # the strided part views of a conv output, as the model gives it
+        rng = np.random.default_rng(82)
+
+        def draw(*shape):
+            return ComplexTensor(*(rng.standard_normal(shape).astype(dtype) for _ in range(2)))
+
+        for t, f, c in DESK_MAPS:
+            block = TFAttentionBlock(variant, c, t, f, rng=rng, dtype=dtype)
+            x = complex_conv2d(draw(batch, t, f, 1), draw(c, 1, 3, 3), 1, 1)
+            assert not x.real.flags.c_contiguous
+            params = [x] + [p for _, p in block.parameters()]
+            for fused, oracle in fused_and_taped(block):
+                maps, probe = ({}, {}), draw(batch, t, f, c)
+                ys = [run(x, m) for run, m in zip((fused, oracle), maps)]
+                grads = [
+                    ct.gradients(lambda: ct.sum_abs2(ct.cmul(run(x, None), probe)), params)[1]
+                    for run in (fused, oracle)
+                ]
+                got, want = (
+                    [y.real, y.imag, *(a for pair in g for a in pair), *m.values()]
+                    for y, g, m in zip(ys, grads, maps)
+                )
+                assert maps[0].keys() == maps[1].keys()
+                for g, w in zip(got, want, strict=True):
+                    assert g.dtype == w.dtype and g.shape == w.shape
+                    assert np.ascontiguousarray(g).tobytes() == np.ascontiguousarray(w).tobytes()
 
     @pytest.mark.parametrize("variant", ["conventional", "complex"])
     def test_collect_holds_one_map_per_item(self, variant):

@@ -11,7 +11,17 @@ from dereverb.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from dereverb.ctensor import ComplexTensor, GradTape
 from dereverb.errors import ContractError, ShapeError
 from dereverb.gradcheck import check_gradients
-from taped_ops import conj, index_axis, stack, sum_all
+from taped_ops import (
+    conj,
+    hermitian_transpose,
+    index_axis,
+    matmul_split,
+    permute,
+    softmax_rows,
+    stack,
+    sum_all,
+    transpose,
+)
 
 
 def rand_ct(rng, *shape):
@@ -75,20 +85,20 @@ class TestComplexMatmul:
 class TestHermitianTranspose:
     def test_single_element(self):
         a = ComplexTensor.from_complex([[1 + 2j]])
-        out = ct.hermitian_transpose(a).to_complex()
+        out = hermitian_transpose(a).to_complex()
         assert out[0, 0] == 1 - 2j
 
     def test_involution(self):
         rng = np.random.default_rng(5)
         a = rand_ct(rng, 3, 2)
-        back = ct.hermitian_transpose(ct.hermitian_transpose(a))
+        back = hermitian_transpose(hermitian_transpose(a))
         np.testing.assert_array_equal(back.real, a.real)
         np.testing.assert_array_equal(back.imag, a.imag)
 
     def test_matches_conjugate_swap(self):
         rng = np.random.default_rng(6)
         a = rand_ct(rng, 2, 3)
-        got = ct.hermitian_transpose(a).to_complex()
+        got = hermitian_transpose(a).to_complex()
         want = np.empty((3, 2), dtype=np.complex128)
         for r in range(2):
             for c in range(3):
@@ -98,13 +108,13 @@ class TestHermitianTranspose:
     def test_product_rule(self):
         rng = np.random.default_rng(7)
         a, b = rand_ct(rng, 3, 4), rand_ct(rng, 4, 2)
-        lhs = ct.hermitian_transpose(ct.matmul(a, b)).to_complex()
-        rhs = ct.matmul(ct.hermitian_transpose(b), ct.hermitian_transpose(a)).to_complex()
+        lhs = hermitian_transpose(ct.matmul(a, b)).to_complex()
+        rhs = ct.matmul(hermitian_transpose(b), hermitian_transpose(a)).to_complex()
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
 
     def test_rank_error(self):
         with pytest.raises(ShapeError):
-            ct.hermitian_transpose(ComplexTensor(np.zeros(3)))
+            hermitian_transpose(ComplexTensor(np.zeros(3)))
 
 
 def per_item(op, *operands):
@@ -135,14 +145,14 @@ class TestBatchedMatrixOps:
         ):
             np.testing.assert_array_equal(g, w)
 
-    @pytest.mark.parametrize("op", [ct.matmul, ct.matmul_split])
+    @pytest.mark.parametrize("op", [ct.matmul, matmul_split])
     @pytest.mark.parametrize("batched", [(True, True), (True, False), (False, True)])
     def test_products(self, op, batched):
         rng = np.random.default_rng(91)
         lead_a, lead_b = ((5,) if flag else () for flag in batched)
         self._assert_matches_per_item(op, [rand_ct(rng, *lead_a, 6, 9), rand_ct(rng, *lead_b, 9, 7)])
 
-    @pytest.mark.parametrize("op", [ct.transpose, ct.hermitian_transpose])
+    @pytest.mark.parametrize("op", [transpose, hermitian_transpose])
     def test_transposes(self, op):
         self._assert_matches_per_item(op, [rand_ct(np.random.default_rng(92), 5, 6, 9)])
 
@@ -153,14 +163,14 @@ class TestBatchedMatrixOps:
 
     def test_shape_errors(self):
         rng = np.random.default_rng(94)
-        for op in (ct.matmul, ct.matmul_split):
+        for op in (ct.matmul, matmul_split):
             with pytest.raises(ShapeError, match="batch"):
                 op(rand_ct(rng, 3, 2, 4), rand_ct(rng, 2, 4, 5))
             with pytest.raises(ShapeError, match="rank"):
                 op(rand_ct(rng, 2, 3, 2, 4), rand_ct(rng, 4, 5))
             with pytest.raises(ShapeError, match="rank"):
                 op(rand_ct(rng, 2, 4), rand_ct(rng, 2, 3, 4, 5))
-        for op in (ct.transpose, ct.hermitian_transpose):
+        for op in (transpose, hermitian_transpose):
             with pytest.raises(ShapeError):
                 op(rand_ct(rng, 2, 3, 2, 4))
 
@@ -202,6 +212,26 @@ class TestBackward:
         grads = tape.backward(ct.sum_abs2(y))
         assert x.node_id in grads
         assert probe() is None and len(tape) == 0
+
+    @pytest.mark.parametrize("op", [ct.add, ct.sub])
+    def test_add_and_sub_keep_operand_shapes_not_operands(self, op):
+        # an intermediate operand is freed once the caller drops it: the vjps
+        # of add and sub hold its shape, not its arrays, until backward
+        rng = np.random.default_rng(14)
+        x, b = rand_ct(rng, 3, 4), rand_ct(rng, 4)
+        tape = GradTape()
+        tape.watch(x)
+        tape.watch(b)
+        y, c = ct.scale(x, 2.0), ct.scale(b, 3.0)
+        probes = [weakref.ref(a) for t in (y, c) for a in (t.real, t.imag)]
+        z = op(y, c)
+        want = op(ComplexTensor(2.0 * x.real, 2.0 * x.imag), ComplexTensor(3.0 * b.real, 3.0 * b.imag))
+        del y, c
+        assert all(p() is None for p in probes)
+        grads = tape.backward(ct.sum_abs2(z))
+        sign = 1.0 if op is ct.add else -1.0
+        np.testing.assert_allclose(grads[x.node_id][0], 4.0 * want.real)
+        np.testing.assert_allclose(grads[b.node_id][1], sign * 6.0 * want.imag.sum(axis=0))
 
     def test_non_scalar_loss_rejected(self):
         rng = np.random.default_rng(10)
@@ -348,7 +378,7 @@ class TestElementwise:
     def test_finite_outputs_through_op_chain(self):
         rng = np.random.default_rng(15)
         x = rand_ct(rng, 6, 6)
-        y = ct.softmax_rows(ct.magnitude(ct.matmul(x, ct.hermitian_transpose(x))))
+        y = softmax_rows(ct.magnitude(ct.matmul(x, hermitian_transpose(x))))
         z = ct.tanh_split(ct.cmul(x, x))
         for t in (y, z):
             assert np.all(np.isfinite(t.real))
@@ -358,16 +388,31 @@ class TestElementwise:
 class TestSoftmax:
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(16)
-        w = ct.softmax_rows(ComplexTensor(rng.standard_normal((7, 7)) * 10))
+        w = softmax_rows(ComplexTensor(rng.standard_normal((7, 7)) * 10))
         np.testing.assert_allclose(w.real.sum(axis=-1), np.ones(7), atol=1e-12)
         assert np.all(w.real >= 0) and np.all(w.real <= 1)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(17)
         a = rng.standard_normal((5, 5))
-        w1 = ct.softmax_rows(ComplexTensor(a)).real
-        w2 = ct.softmax_rows(ComplexTensor(a + 3.25)).real
+        w1 = softmax_rows(ComplexTensor(a)).real
+        w2 = softmax_rows(ComplexTensor(a + 3.25)).real
         np.testing.assert_allclose(w1, w2, atol=1e-10)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_subnormal_entries_flushed_to_zero(self, dtype):
+        # a weight or gradient entry below the smallest normal number is 0.0
+        tiny = np.finfo(dtype).smallest_normal
+        logit = np.log(tiny) - 5  # its weight, tiny * e^-5, is subnormal
+        assert 0 < np.exp(np.array(logit, dtype=dtype)) < tiny
+        s = ct._softmax(np.array([[0.0, logit]], dtype=dtype))
+        assert s.dtype == dtype and s[0, 0] == 1.0 and s[0, 1] == 0.0
+        half = np.full((1, 2), 0.5, dtype=dtype)
+        g = np.array([[tiny, 0.0]], dtype=dtype)
+        assert 0 < np.abs(half * (g - (g * half).sum())).max() < tiny  # +-tiny/4
+        gs = ct._softmax_vjp(g, half)
+        assert gs.dtype == dtype
+        np.testing.assert_array_equal(gs, 0.0)
 
 
 class TestShapeOps:
@@ -388,7 +433,7 @@ class TestShapeOps:
 
         def build():
             cat = ct.concat([a, b], axis=1)
-            perm = ct.permute(cat, (1, 0))
+            perm = permute(cat, (1, 0))
             resh = ct.reshape(perm, (3, 4))
             return ct.sum_abs2(ct.cmul(resh, resh))
 
