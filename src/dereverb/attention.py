@@ -25,17 +25,15 @@ import numpy as np
 from . import ctensor as ct
 from .ctensor import ComplexTensor, _cmm, _cmm_vjp_a, _cmm_vjp_b, _emit, _reduce_to
 from .ctensor import _softmax, _softmax_vjp
-from .errors import ConfigError, ContractError, ShapeError
-from .layers import _shared_vjps, orthogonal_pair_init, unitary_init
+from .errors import ConfigError, ContractError
+from .layers import _batch_parts, _shared_vjps, orthogonal_pair_init, unitary_init
 
 AXES = ("time", "frequency")
 
 
-def _check_input(x, axis):
+def _check_axis(axis):
     if axis not in AXES:
         raise ConfigError(f"axis must be one of {AXES}, got {axis!r}")
-    if x.ndim != 4:
-        raise ShapeError(f"attention input must be a [B, T, F, C] batch, got {x.shape}")
 
 
 def _rows(p, axis):
@@ -112,9 +110,10 @@ class _ProjectedSA:
         the input parts, the Q, K^T (or K^H) and V rows and what the map's
         vjp reads.
         """
-        _check_input(x, axis)
+        _check_axis(axis)
+        parts = _batch_parts(x, self.channels_cc, type(self).__name__)
         shape = x.shape
-        flat = [p.reshape(shape[0], -1, self.channels_cc) for p in (x.real, x.imag)]
+        flat = [p.reshape(shape[0], -1, self.channels_cc) for p in parts]
         ws = [self.proj[(axis, name)] for name in ("q", "k", "v")]
         q, k, v = (
             [_rows(p.reshape(shape), axis) for p in self._product(flat, (w.real, w.imag))]
@@ -242,14 +241,15 @@ class Sdab:
     def branch(self, x, axis, collect=None):
         """Reweighting along ``axis`` of a [B, T, F, C] batch, one tape node
         that saves the input parts, not their rows."""
-        _check_input(x, axis)
-        t, f = x.shape[-3:-1]
+        _check_axis(axis)
+        parts = _batch_parts(x, None, "Sdab")
+        t, f = x.shape[1:3]
         if (t, f) != (self.t_dim, self.f_dim):
             raise ContractError(
                 f"SDAB configured for {self.t_dim}x{self.f_dim} input, got {t}x{f}"
             )
         fc, bias, shape = self.fc[axis], self.bias[axis], x.shape
-        parts, w = (x.real, x.imag), (fc.real, fc.imag)
+        w = fc.real, fc.imag
         mm = _split_mm(w, [_rows(p, axis) for p in parts])
         out = [np.ascontiguousarray(_from_rows(p, shape, axis))
                for p in (mm[0] + bias.real, mm[1] + bias.imag)]

@@ -349,12 +349,8 @@ def pow_re(a, p):
     p = float(p)
     out = np.power(a.real, p)
 
-    if p >= 1.0:
-        factor = p * np.power(a.real, p - 1.0)
-        vjp = lambda gr, gi: (gr * factor, np.zeros_like(gr))
-    else:
-        factor = _pow_grad(a.real, p)
-        vjp = lambda gr, gi: (gr * factor, np.zeros_like(gr))
+    factor = p * np.power(a.real, p - 1.0) if p >= 1.0 else _pow_grad(a.real, p)
+    vjp = lambda gr, gi: (gr * factor, np.zeros_like(gr))
     return _emit("pow_re", out, np.zeros_like(out), [(a, vjp)])
 
 

@@ -1,7 +1,7 @@
 """Finite-difference verification of analytic gradients.
 
 :func:`check_gradients` re-runs a loss closure with each tensor element
-perturbed by +/-eps (central differences) and compares against one
+perturbed by +/-:data:`EPS` (central differences) and compares against one
 reverse-mode pass.  :func:`run_suite` runs the CLI ``gradcheck`` subcommand
 over :data:`SCENARIOS`.  Each scenario factory draws a small random instance
 and returns ``(loss_fn, tensors)``; instances are kept tiny so the whole
@@ -22,8 +22,12 @@ from .errors import ContractError
 from .layers import ComplexBatchNorm, ComplexGruCell, complex_conv2d, complex_conv_transpose2d
 from .model import complex_loss
 
+EPS = 1e-5  # central-difference step
+N_INSTANCES = 5  # seeded random instances per scenario
+TOL = 1e-4  # largest max relative error a scenario passes with
 
-def _finite_difference_gradients(loss_fn, tensors, eps):
+
+def _finite_difference_gradients(loss_fn, tensors):
     """Central-difference gradients of the float ``loss_fn()`` w.r.t. each
     tensor, as ``(grad_real, grad_imag)`` pairs matching ``tensors``."""
     out = []
@@ -33,12 +37,12 @@ def _finite_difference_gradients(loss_fn, tensors, eps):
         for part, g in ((t.real, gr), (t.imag, gi)):
             for idx in np.ndindex(part.shape):
                 saved = part[idx]
-                part[idx] = saved + eps
+                part[idx] = saved + EPS
                 lp = loss_fn()
-                part[idx] = saved - eps
+                part[idx] = saved - EPS
                 lm = loss_fn()
                 part[idx] = saved
-                g[idx] = (lp - lm) / (2.0 * eps)
+                g[idx] = (lp - lm) / (2.0 * EPS)
         out.append((gr, gi))
     return out
 
@@ -59,7 +63,7 @@ def _max_relative_error(analytic, numeric):
     return worst
 
 
-def check_gradients(loss_fn, tensors, eps=1e-5):
+def check_gradients(loss_fn, tensors):
     """Max relative error between the reverse-mode and the finite-difference
     gradients of ``loss_fn()`` w.r.t. ``tensors``.
 
@@ -67,7 +71,7 @@ def check_gradients(loss_fn, tensors, eps=1e-5):
     the tensors' current values.
     """
     _, analytic = ct.gradients(loss_fn, tensors)
-    numeric = _finite_difference_gradients(lambda: float(loss_fn().real), tensors, eps)
+    numeric = _finite_difference_gradients(lambda: float(loss_fn().real), tensors)
     return _max_relative_error(analytic, numeric)
 
 
@@ -184,8 +188,9 @@ SCENARIOS = [
 ]
 
 
-def run_suite(seed=0, eps=1e-5, n_instances=5, tol=1e-4, report=None):
-    """Run every scenario in :data:`SCENARIOS` on seeded random instances.
+def run_suite(seed=0, report=None):
+    """Run every scenario in :data:`SCENARIOS` on :data:`N_INSTANCES` seeded
+    random instances; a scenario passes when its worst error is <= :data:`TOL`.
 
     Returns ``(all_passed, rows)`` where each row is
     ``(name, max_rel_err, elapsed_s, passed)``.  ``report`` may be a callable
@@ -198,11 +203,11 @@ def run_suite(seed=0, eps=1e-5, n_instances=5, tol=1e-4, report=None):
     for idx, (name, factory) in enumerate(SCENARIOS):
         t0 = time.perf_counter()
         worst = 0.0
-        for k in range(n_instances):
+        for k in range(N_INSTANCES):
             rng = np.random.default_rng(np.random.SeedSequence([seed, idx, k]))
-            worst = max(worst, check_gradients(*factory(rng), eps=eps))
+            worst = max(worst, check_gradients(*factory(rng)))
         elapsed = time.perf_counter() - t0
-        ok = worst <= tol
+        ok = worst <= TOL
         all_ok = all_ok and ok
         rows.append((name, worst, elapsed, ok))
         if report is not None:

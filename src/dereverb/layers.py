@@ -159,14 +159,12 @@ def _kernel_grad(cols, gr, gi, k):
 
 
 def _batch_parts(x, channels, what):
-    """The parts of a checked [B, T, F, C] map."""
+    """The parts of a [B, T, F, C] map, checked for the layer ``what``, whose
+    complex channel count is ``channels`` (None: a layer that holds none)."""
     if x.ndim != 4:
         raise ShapeError(f"{what} input must be a [B, T, F, C] batch, got {x.shape}")
-    if x.shape[-1] != channels:
-        raise ShapeError(
-            f"channel mismatch: input has {x.shape[-1]} complex channels, "
-            f"kernel expects {channels}"
-        )
+    if channels is not None and x.shape[-1] != channels:
+        raise ShapeError(f"{what} expects {channels} complex channels, got {x.shape}")
     return x.real, x.imag
 
 
@@ -291,10 +289,10 @@ class ComplexBatchNorm:
     """
 
     momentum = 0.1  # weight of the batch statistics in each running-stat update
+    eps = 1e-5  # added to the covariance's diagonal before its inverse square root
 
-    def __init__(self, channels_cc, eps=1e-5, dtype=np.float64):
-        c = int(channels_cc)
-        self.eps = float(eps)
+    def __init__(self, channels_cc, dtype=np.float64):
+        c = self.channels_cc = int(channels_cc)
         half = dtype(np.sqrt(0.5))
         self.gamma_d = ComplexTensor(np.full(c, half, dtype=dtype), np.full(c, half, dtype=dtype))
         self.gamma_o = ComplexTensor(np.zeros(c, dtype=dtype))
@@ -321,34 +319,32 @@ class ComplexBatchNorm:
         zeros that chain's part splits added are left out, which can flip the
         sign of an input gradient entry that is zero.
         """
-        if x.ndim < 2:
-            raise ShapeError(f"batchnorm input must have rank >= 2, got {x.shape}")
-        shape, axes = x.shape, tuple(range(x.ndim - 1))
+        parts = _batch_parts(x, self.channels_cc, "batchnorm")
+        shape, axes = x.shape, (0, 1, 2)
         n = math.prod(shape[:-1])
         # the statistics accumulate in float64 and round once to the map's dtype:
         # a float32 sum over n rows loses the small variances that whitening divides by
         mean = lambda v: v.mean(axis=axes, dtype=np.float64).astype(v.dtype)
         total = lambda v: v.reshape(shape).sum(axis=axes, dtype=np.float64).astype(v.dtype)
-        # elementwise passes view the maps as rows of the last two axes and tile
-        # each per-channel operand along a row, so numpy's inner loops run a row
+        # elementwise passes view the maps as [-1, F*C] rows and tile each
+        # per-channel operand along a row, so numpy's inner loops run a row
         # long, not C: the same products in the same order
-        reps = shape[-2] if x.ndim > 2 else 1
-        rows = lambda v: v.reshape(-1, reps * shape[-1])
-        tile = lambda v: np.tile(v, reps)
+        rows = lambda v: v.reshape(-1, shape[2] * shape[3])
+        tile = lambda v: np.tile(v, shape[2])
 
         if training:
             if n < 2:
                 raise ContractError(
                     f"batchnorm needs >= 2 samples per channel in training mode, got {n}"
                 )
-            mu = mean(x.real), mean(x.imag)
-            xr, xi = x.real - mu[0], x.imag - mu[1]
+            mu = mean(parts[0]), mean(parts[1])
+            xr, xi = parts[0] - mu[0], parts[1] - mu[1]
             vrr, vii, vri = (mean(u * v) for u, v in ((xr, xr), (xi, xi), (xr, xi)))
             self._running *= 1 - self.momentum
             self._running += self.momentum * np.stack([mu[0], mu[1], vrr, vri, vii])
         else:
             mean_r, mean_i, vrr, vri, vii = self._running
-            xr, xi = x.real - mean_r, x.imag - mean_i
+            xr, xi = parts[0] - mean_r, parts[1] - mean_i
         xr, xi = rows(xr), rows(xi)
 
         # analytic inverse square root of [[a, b], [b, c]] + eps*I

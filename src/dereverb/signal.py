@@ -14,6 +14,7 @@ import wave
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError, DataError, ShapeError
 
@@ -87,8 +88,7 @@ def stft(x: WaveForm, frame_len: int, hop: int, fft_size: int) -> Spectrogram:
     sig = np.zeros(padded_len)
     sig[:n] = x.samples
     win = hann_window(frame_len)
-    idx = np.arange(frame_len)[None, :] + hop * np.arange(n_frames)[:, None]
-    frames = sig[idx] * win
+    frames = sliding_window_view(sig, frame_len)[::hop] * win
     data = np.fft.rfft(frames, n=fft_size, axis=1)
     return Spectrogram(
         data=data,

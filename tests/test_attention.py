@@ -15,7 +15,7 @@ from dereverb.attention import (
 from dereverb.ctensor import ComplexTensor
 from dereverb.errors import ConfigError, ContractError, ShapeError
 from dereverb.gradcheck import check_gradients
-from dereverb.layers import complex_conv2d, complex_conv_transpose2d
+from dereverb.layers import ComplexBatchNorm, complex_conv2d, complex_conv_transpose2d
 from dereverb.model import DccrnModel, ModelConfig
 from taped_ops import index_axis, stack, taped_block, taped_branch, taped_project
 
@@ -413,27 +413,63 @@ class TestTFAttentionBlock:
         assert check_gradients(build, params) < 1e-4
 
 
-# every layer that takes feature maps, called on one [T, F, C] map with C = 1
-ONE_MAP_MODEL = ModelConfig(num_enc_layers=1, channels=(2,), gru_hidden=2, image_frames=4,
-                            frame_len=8, hop=2, fft_size=8)
-ONE_MAP_CALLS = {
-    "conv2d": lambda rng, x: complex_conv2d(x, rand_ct(rng, 2, 1, 3, 3), 1, 1),
-    "conv_transpose2d": lambda rng, x: complex_conv_transpose2d(
-        x, rand_ct(rng, 1, 2, 3, 3), 1, 1, (4, 4)
-    ),
-    "sdab.branch": lambda rng, x: Sdab(4, 4, rng=rng).branch(x, "time"),
-    "conventional.branch": lambda rng, x: ConventionalSA(1, rng=rng).branch(x, "time"),
-    "complex.branch": lambda rng, x: ComplexTFSA(1, rng=rng).branch(x, "frequency"),
-    "block.sdab": lambda rng, x: TFAttentionBlock("sdab", 1, 4, 4, rng=rng)(x),
-    "block.conventional": lambda rng, x: TFAttentionBlock("conventional", 1, 4, 4, rng=rng)(x),
-    "block.complex": lambda rng, x: TFAttentionBlock("complex", 1, 4, 4, rng=rng)(x),
-    "model.forward": lambda rng, x: DccrnModel(ONE_MAP_MODEL).forward(x),
+def _branch(make, axis):
+    return lambda rng, x: make(rng).branch(x, axis)
+
+
+# every layer that takes feature maps, as (the complex channel count C it holds
+# weights for, None for a layer that holds none, a call on a map with T = F = 4)
+FEATURE_MAP_LAYERS = {
+    "complex_conv2d": (2, lambda rng, x: complex_conv2d(x, rand_ct(rng, 2, 2, 3, 3), 1, 1)),
+    "complex_conv_transpose2d": (2, lambda rng, x: complex_conv_transpose2d(
+        x, rand_ct(rng, 2, 2, 3, 3), 1, 1, (4, 4)
+    )),
+    "ComplexBatchNorm": (2, lambda rng, x: ComplexBatchNorm(2)(x, training=True)),
+    **{
+        f"{name}.branch.{axis}": (channels, _branch(make, axis))
+        for name, channels, make in (
+            ("Sdab", None, lambda rng: Sdab(4, 4, rng=rng)),
+            ("ConventionalSA", 2, lambda rng: ConventionalSA(2, rng=rng)),
+            ("ComplexTFSA", 2, lambda rng: ComplexTFSA(2, rng=rng)),
+        )
+        for axis in AXES
+    },
+    **{
+        f"TFAttentionBlock.{variant}": (
+            None if variant == "sdab" else 2,
+            lambda rng, x, variant=variant: TFAttentionBlock(variant, 2, 4, 4, rng=rng)(x),
+        )
+        for variant in ("sdab", "conventional", "complex")
+    },
 }
+CHANNEL_COUNTED = {k: v for k, v in FEATURE_MAP_LAYERS.items() if v[0] is not None}
 
 
-@pytest.mark.parametrize("call", ONE_MAP_CALLS.values(), ids=ONE_MAP_CALLS.keys())
-def test_one_map_without_batch_axis_rejected(call):
-    # [B, T, F, C] is the only map layout: a batch of one carries its axis
-    rng = np.random.default_rng(81)
-    with pytest.raises(ShapeError, match=r"\[B,"):
-        call(rng, rand_ct(rng, 4, 4, 1))
+class TestFeatureMapContract:
+    """[B, T, F, C] is the only map layout, and C must be the layer's channel
+    count: every layer raises ShapeError on anything else."""
+
+    @pytest.mark.parametrize("layer", FEATURE_MAP_LAYERS.values(), ids=FEATURE_MAP_LAYERS.keys())
+    def test_one_map_without_batch_axis_rejected(self, layer):
+        # a batch of one carries its axis
+        channels, call = layer
+        rng = np.random.default_rng(81)
+        with pytest.raises(ShapeError, match=r"\[B,"):
+            call(rng, rand_ct(rng, 4, 4, channels or 2))
+
+    # 2C channels reshape into whole extra attention rows, which the projections
+    # take without complaint: only the channel check rejects them
+    @pytest.mark.parametrize("wrong", [lambda c: c + 1, lambda c: 2 * c], ids=["C+1", "2C"])
+    @pytest.mark.parametrize("layer", CHANNEL_COUNTED.values(), ids=CHANNEL_COUNTED.keys())
+    def test_wrong_channel_count_rejected(self, layer, wrong):
+        channels, call = layer
+        rng = np.random.default_rng(82)
+        with pytest.raises(ShapeError, match="channel"):
+            call(rng, rand_ct(rng, 1, 4, 4, wrong(channels)))
+
+    def test_model_forward_rejects_one_map(self):
+        cfg = ModelConfig(num_enc_layers=1, channels=(2,), gru_hidden=2, image_frames=4,
+                          frame_len=8, hop=2, fft_size=8)
+        rng = np.random.default_rng(83)
+        with pytest.raises(ShapeError, match=r"\[B,"):
+            DccrnModel(cfg).forward(rand_ct(rng, 4, 4, 1))

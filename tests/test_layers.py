@@ -202,11 +202,6 @@ class TestComplexConv2d:
         ).to_complex()
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
-    def test_channel_mismatch(self):
-        rng = np.random.default_rng(34)
-        with pytest.raises(ShapeError):
-            ly.complex_conv2d(rand_ct(rng, 1, 4, 4, 3), rand_ct(rng, 2, 2, 3, 3))
-
     def test_gradients(self):
         rng = np.random.default_rng(35)
         x = rand_ct(rng, 1, 4, 4, 2)
@@ -497,7 +492,8 @@ class TestComplexBatchNorm:
 
     def test_whitening_fixed_point(self):
         rng = np.random.default_rng(40)
-        bn = ly.ComplexBatchNorm(3, eps=1e-9)
+        bn = ly.ComplexBatchNorm(3)
+        bn.eps = 1e-9
         self._identity_gamma(bn)
         # build an input with exactly zero mean and identity 2x2 covariance
         raw = rng.standard_normal((64, 4, 4, 3)) + 1j * rng.standard_normal((64, 4, 4, 3))
@@ -525,7 +521,8 @@ class TestComplexBatchNorm:
 
     def test_output_covariance_is_identity(self):
         rng = np.random.default_rng(41)
-        bn = ly.ComplexBatchNorm(2, eps=1e-9)
+        bn = ly.ComplexBatchNorm(2)
+        bn.eps = 1e-9
         self._identity_gamma(bn)
         # correlated parts so the whitening actually has work to do
         r = rng.standard_normal((256, 2, 2, 2))
@@ -553,6 +550,17 @@ class TestComplexBatchNorm:
         x = ComplexTensor(np.zeros((1, 1, 1, 2)), np.zeros((1, 1, 1, 2)))
         with pytest.raises(ContractError):
             bn(x, training=True)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_wrong_channel_count_leaves_running_stats(self, training):
+        # the map is checked before the running stats move: a rejected
+        # training call leaves them as they were
+        rng = np.random.default_rng(45)
+        bn = ly.ComplexBatchNorm(3)
+        before = bn._running.copy()
+        with pytest.raises(ShapeError, match="channel"):
+            bn(rand_ct(rng, 2, 3, 4, 2), training)
+        assert bn._running.tobytes() == before.tobytes()
 
     def test_inference_uses_running_stats(self):
         rng = np.random.default_rng(43)
@@ -666,10 +674,6 @@ class TestComplexBatchNorm:
             got.append((out[0].to_complex(), dxr + 1j * dxi))
         for want, have in zip(*got):
             assert np.linalg.norm(have - want) / np.linalg.norm(want) < 1e-3
-
-    @pytest.mark.parametrize("training", [True, False])
-    def test_bit_identical_rank3(self, training):
-        self._assert_bit_identical((7, 6, 3), np.float64, training)
 
     @pytest.mark.parametrize("training", [True, False])
     def test_call_is_one_tape_node(self, training):
