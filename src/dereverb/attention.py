@@ -304,8 +304,3 @@ class TFAttentionBlock:
         bt = self.mechanism.branch(x, "time")
         bf = self.mechanism.branch(x, "frequency")
         return ct.add(x, ct.scale(ct.add(bt, bf), 0.5))
-
-
-def count_parameters(named_params):
-    """Total trainable scalar count over (name, tensor) pairs (both parts)."""
-    return int(sum(p.real.size + p.imag.size for _, p in named_params))

@@ -45,11 +45,6 @@ class ComplexTensor:
         self.tape = None
         self.node_id = None
 
-    @classmethod
-    def from_complex(cls, z):
-        z = np.asarray(z, dtype=np.complex128)
-        return cls(np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag))
-
     def to_complex(self):
         return self.real + 1j * self.imag
 

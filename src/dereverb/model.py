@@ -20,7 +20,7 @@ import numpy as np
 
 from . import ctensor as ct
 from . import layers
-from .attention import MECHANISMS, TFAttentionBlock, count_parameters
+from .attention import MECHANISMS, TFAttentionBlock
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import build_config
 from .ctensor import ComplexTensor
@@ -29,6 +29,7 @@ from .errors import ConfigError, ContractError, DataError, ShapeError, TrainingE
 from .layers import ComplexBatchNorm, ComplexGruCell, _conv_out_dim, complex_conv2d, unitary_init
 from .signal import (
     WaveForm,
+    apply_mask,
     check_framing,
     istft,
     make_spectral_images,
@@ -281,9 +282,6 @@ class DccrnModel:
             out += [(f"dec{j}.{n}", b) for n, b in blk.buffers()]
         return out
 
-    def parameter_count(self):
-        return count_parameters(self.parameters())
-
     def save(self, path):
         arrays = {name: (p.real, p.imag) for name, p in self.parameters()}
         for name, b in self.buffers():
@@ -441,9 +439,9 @@ def _image_tensors(images, dtype):
 def _spectral_front_end(wf: WaveForm, cfg: ModelConfig):
     """The STFT of ``wf`` and its spectral images: (spec_x, images_in, images_x).
 
-    ``images_in`` feed the network and ``images_x`` are the ones the mask
-    multiplies.  PSD smoothing, when enabled, shapes the network input only;
-    without it ``images_in`` is ``images_x``.
+    ``images_in`` feed the network; ``images_x`` are cut from the unsmoothed
+    ``spec_x``, which the mask multiplies.  PSD smoothing, when enabled, shapes
+    the network input only; without it ``images_in`` is ``images_x``.
     """
     spec_x = stft(wf, cfg.frame_len, cfg.hop, cfg.fft_size)
     images_x = make_spectral_images(spec_x, cfg.image_frames)
@@ -553,8 +551,11 @@ def train(model: DccrnModel, manifest_path, out_dir, log=None):
 
 
 def enhance_waveform(model: DccrnModel, wf: WaveForm) -> WaveForm:
-    """stft -> images -> forward -> mask -> reassemble -> istft.
+    """stft -> images -> forward per batch -> reassemble masks -> apply_mask -> istft.
 
+    The network's per-image masks are reassembled into one spectrogram, which
+    drops the zero-padded frames of the last image and is zero at the Nyquist
+    bin; :func:`signal.apply_mask` multiplies the unsmoothed STFT by it.
     Output length always equals the input length.  The model's sample rate
     must match the waveform's.
     """
@@ -563,27 +564,11 @@ def enhance_waveform(model: DccrnModel, wf: WaveForm) -> WaveForm:
         raise ContractError(
             f"model expects {cfg.sample_rate} Hz audio, got {wf.sample_rate} Hz"
         )
-    spec_x, images_in, images_x = _spectral_front_end(wf, cfg)
-    dtype = cfg.np_dtype
-    masked = []
+    spec_x, images_in, _ = _spectral_front_end(wf, cfg)
+    masks = []
     for lo in range(0, len(images_in), cfg.batch_size):
-        chunk_in = images_in[lo : lo + cfg.batch_size]
-        chunk_x = images_x[lo : lo + cfg.batch_size]
-        mask = model.forward(_image_tensors(chunk_in, dtype), training=False)
-        mask_c = (mask.real + 1j * mask.imag)[..., 0]
-        for img, m in zip(chunk_x, mask_c):
-            out = dataclasses.replace(img, data=m * img.data)
-            masked.append(out)
-
-    spec_hat = reassemble_spectral_images(masked, spec_x)
-    return istft(spec_hat)
-
-
-def enhance_with_identity_mask(wf: WaveForm, cfg: ModelConfig) -> WaveForm:
-    """The enhancement pipeline with the network forced to M = 1.
-
-    Isolates the pipeline's own loss (spectral-image Nyquist-bin zeroing).
-    """
-    spec_x, _, images = _spectral_front_end(wf, cfg)
-    spec_hat = reassemble_spectral_images(images, spec_x)
-    return istft(spec_hat)
+        chunk = images_in[lo : lo + cfg.batch_size]
+        mask = model.forward(_image_tensors(chunk, cfg.np_dtype), training=False)
+        for img, m in zip(chunk, mask.to_complex()[..., 0]):
+            masks.append(dataclasses.replace(img, data=m))
+    return istft(apply_mask(reassemble_spectral_images(masks, spec_x), spec_x))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dereverb import ctensor as ct
-from dereverb.attention import ComplexTFSA, ConventionalSA, Sdab, count_parameters
+from dereverb.attention import ComplexTFSA, ConventionalSA, Sdab
 from dereverb.ctensor import ComplexTensor
 from dereverb.datasynth import SynthConfig, generate_dataset, read_manifest, reverberate
 from dereverb.gradcheck import run_suite
@@ -33,6 +33,7 @@ from dereverb.signal import (
     read_wav,
     stft,
 )
+from helpers import ConstantMask, count_parameters, from_complex
 from taped_ops import hermitian_transpose
 
 DESK = ModelConfig()  # desk scale: 32 ms frames at 4 kHz, 75% overlap
@@ -194,10 +195,19 @@ class TestCriterion2OracleEquivalence:
 
 class TestCriterion3HermitianCorrelation:
     def test_worked_example_exact(self):
-        q = ComplexTensor.from_complex([[1 + 1j]])
-        k = ComplexTensor.from_complex([[1 - 1j]])
+        q = from_complex([[1 + 1j]])
+        k = from_complex([[1 - 1j]])
         corr = ct.matmul(q, hermitian_transpose(k)).to_complex()
         assert corr[0, 0] == 0 + 2j
+
+    def test_worked_example_exact_in_complex_tf_sa(self):
+        sa = ComplexTFSA(1, rng=np.random.default_rng(0))
+        for name in ("q", "k", "v"):
+            sa.proj[("time", name)] = from_complex(np.eye(1))
+        x = from_complex(np.array([1 + 1j, 1 - 1j]).reshape(1, 2, 1, 1))
+        info = {}
+        sa.branch(x, "time", collect=info)
+        assert info["corr"][0, 0, 1] == 0 + 2j
 
     def test_conjugate_symmetry_spot_checks(self):
         rng = np.random.default_rng(208)
@@ -209,6 +219,20 @@ class TestCriterion3HermitianCorrelation:
             swapped = hermitian_transpose(corr_kq)
             np.testing.assert_allclose(corr_qk.real, swapped.real, atol=1e-12)
             np.testing.assert_allclose(corr_qk.imag, swapped.imag, atol=1e-12)
+
+    def test_swapping_query_and_key_projections_in_complex_tf_sa(self):
+        rng = np.random.default_rng(218)
+        for trial in range(10):
+            sa = ComplexTFSA(2, rng=rng)
+            x = rand_ct(rng, 2, 4, 3, 2)
+            axis = "time" if trial % 2 == 0 else "frequency"
+            qk, kq = {}, {}
+            sa.branch(x, axis, collect=qk)
+            proj = sa.proj
+            proj[(axis, "q")], proj[(axis, "k")] = proj[(axis, "k")], proj[(axis, "q")]
+            sa.branch(x, axis, collect=kq)
+            swapped = np.conj(kq["corr"]).swapaxes(-1, -2)
+            np.testing.assert_allclose(qk["corr"], swapped, rtol=0, atol=1e-12)
 
 
 class TestCriterion4AttentionStochasticity:
@@ -247,7 +271,7 @@ class TestCriterion5ParameterParity:
         n = {}
         for variant in ("conventional", "complex"):
             model = DccrnModel(overfit_config(attention=variant))
-            n[variant] = model.parameter_count()
+            n[variant] = count_parameters(model.parameters())
         assert n["conventional"] == n["complex"]
 
 
@@ -263,13 +287,11 @@ class TestCriterion6StftRoundTrip:
             assert err / ref < 1e-6, f"seed {seed}: relative RMS {err / ref:.2e}"
 
     def test_identity_mask_enhancement(self):
-        from dereverb.model import enhance_with_identity_mask
-
         rng = np.random.default_rng(211)
         sig = 0.25 * rng.standard_normal(4000)
         wf = WaveForm(sig, 4000)
         cfg = overfit_config()
-        out = enhance_with_identity_mask(wf, cfg)
+        out = enhance_waveform(ConstantMask(cfg), wf)
         assert len(out) == len(wf)
         # the pipeline's only loss is the documented zeroed Nyquist bin
         spec = stft(wf, cfg.frame_len, cfg.hop, cfg.fft_size)

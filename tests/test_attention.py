@@ -10,13 +10,13 @@ from dereverb.attention import (
     ConventionalSA,
     Sdab,
     TFAttentionBlock,
-    count_parameters,
 )
 from dereverb.ctensor import ComplexTensor
 from dereverb.errors import ConfigError, ContractError, ShapeError
 from dereverb.gradcheck import check_gradients
 from dereverb.layers import ComplexBatchNorm, complex_conv2d, complex_conv_transpose2d
 from dereverb.model import DccrnModel, ModelConfig
+from helpers import count_parameters
 from taped_ops import index_axis, stack, taped_block, taped_branch, taped_project
 
 

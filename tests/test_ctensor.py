@@ -11,6 +11,7 @@ from dereverb.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from dereverb.ctensor import ComplexTensor, GradTape
 from dereverb.errors import ContractError, ShapeError
 from dereverb.gradcheck import check_gradients
+from helpers import from_complex
 from taped_ops import (
     conj,
     hermitian_transpose,
@@ -45,15 +46,15 @@ def naive_matmul(a, b):
 
 class TestComplexMatmul:
     def test_single_element(self):
-        a = ComplexTensor.from_complex([[1 + 1j]])
-        b = ComplexTensor.from_complex([[1 + 1j]])
+        a = from_complex([[1 + 1j]])
+        b = from_complex([[1 + 1j]])
         out = ct.matmul(a, b).to_complex()
         assert out[0, 0] == 0 + 2j
 
     def test_identity(self):
         rng = np.random.default_rng(1)
         a = rand_ct(rng, 3, 3)
-        eye = ComplexTensor.from_complex(np.eye(3, dtype=np.complex128))
+        eye = from_complex(np.eye(3, dtype=np.complex128))
         out = ct.matmul(a, eye)
         np.testing.assert_array_equal(out.real, a.real)
         np.testing.assert_array_equal(out.imag, a.imag)
@@ -84,7 +85,7 @@ class TestComplexMatmul:
 
 class TestHermitianTranspose:
     def test_single_element(self):
-        a = ComplexTensor.from_complex([[1 + 2j]])
+        a = from_complex([[1 + 2j]])
         out = hermitian_transpose(a).to_complex()
         assert out[0, 0] == 1 - 2j
 
@@ -243,7 +244,7 @@ class TestBackward:
             tape.backward(y)
 
     def test_complex_loss_rejected(self):
-        x = ComplexTensor.from_complex(np.array(1 + 1j))
+        x = from_complex(np.array(1 + 1j))
         tape = GradTape()
         tape.watch(x)
         y = sum_all(x)
@@ -353,7 +354,7 @@ class TestElementwise:
         np.testing.assert_allclose(got, a.to_complex() * b.to_complex(), atol=1e-14)
 
     def test_crelu(self):
-        x = ComplexTensor.from_complex(np.array([-1 + 2j, 3 - 4j, 0j]))
+        x = from_complex(np.array([-1 + 2j, 3 - 4j, 0j]))
         out = ct.crelu(x).to_complex()
         np.testing.assert_array_equal(out, np.array([0 + 2j, 3 + 0j, 0j]))
 
@@ -366,7 +367,7 @@ class TestElementwise:
         np.testing.assert_array_equal(once.imag, twice.imag)
 
     def test_magnitude_and_compress(self):
-        x = ComplexTensor.from_complex(np.array([3 + 4j, 0j]))
+        x = from_complex(np.array([3 + 4j, 0j]))
         m = ct.magnitude(x)
         np.testing.assert_allclose(m.real, [5.0, 0.0], atol=1e-15)
         np.testing.assert_array_equal(m.imag, [0.0, 0.0])

@@ -1,56 +1,64 @@
 """Static checks of the package source: no code without a caller in the package."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "dereverb"
 
-# module-level definitions that nothing in the package calls, kept because a
-# test pins them as a contract
-CALLED_ONLY_BY_TESTS = {
-    "signal.apply_mask": "criterion 2 checks the masking rule against its oracle",
-    "model.enhance_with_identity_mask": "criterion 6 checks the STFT round trip through it",
+# definitions that nothing in the package names, kept because a caller outside
+# the package uses them
+CALLED_FROM_OUTSIDE = {
+    "model.ModelConfig.paper_scale": "perfbench's paper-b1 workload and the README's "
+    "configuration section build the paper-scale config with it",
 }
 
 
 def _names_used(node):
-    """Every name ``node`` reads, imports or reaches as an attribute."""
-    used = set()
+    """How often ``node`` reads, imports or reaches each name as an attribute."""
+    used = Counter()
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
-            used.add(n.id)
+            used[n.id] += 1
         elif isinstance(n, ast.Attribute):
-            used.add(n.attr)
+            used[n.attr] += 1
         elif isinstance(n, ast.alias):
-            used.add(n.name)
+            used[n.name] += 1
     return used
 
 
+def _definitions(module, tree):
+    """(``module.name``, node) of each module-level function and class, and
+    (``module.Class.name``, node) of each non-dunder method or property of a
+    module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield f"{module}.{node.name}.{item.name}", item
+
+
 def _uncalled():
-    """``module.name`` of each module-level function or class that no other
-    statement of ``src/dereverb`` refers to."""
-    # the names each top-level statement of each module uses, by (module, index)
-    uses, defs = {}, []
+    """Each definition of ``src/dereverb`` whose name the package names
+    nowhere outside the definition itself."""
+    used, defs = Counter(), []
     for path in sorted(SRC.glob("*.py")):
-        for i, node in enumerate(ast.parse(path.read_text(), str(path)).body):
-            uses[(path.stem, i)] = _names_used(node)
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs.append(((path.stem, i), node.name))
-    return [
-        f"{key[0]}.{name}"
-        for key, name in defs
-        if not any(name in used for other, used in uses.items() if other != key)
-    ]
+        tree = ast.parse(path.read_text(), str(path))
+        used += _names_used(tree)
+        defs += _definitions(path.stem, tree)
+    return [name for name, node in defs if used[node.name] == _names_used(node)[node.name]]
 
 
 def test_every_definition_has_a_caller_in_the_package():
-    uncalled = [name for name in _uncalled() if name not in CALLED_ONLY_BY_TESTS]
+    uncalled = [name for name in _uncalled() if name not in CALLED_FROM_OUTSIDE]
     assert not uncalled, f"defined in src/dereverb but used nowhere in it: {uncalled}"
 
 
-@pytest.mark.parametrize("name", sorted(CALLED_ONLY_BY_TESTS))
+@pytest.mark.parametrize("name", sorted(CALLED_FROM_OUTSIDE))
 def test_allowlist_names_uncalled_definitions(name):
-    # an entry whose definition gained a caller, or went, is dropped
+    # an entry whose definition gained a caller in the package, or went, is dropped
     assert name in _uncalled()

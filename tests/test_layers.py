@@ -12,6 +12,7 @@ from dereverb import layers as ly
 from dereverb.ctensor import ComplexTensor
 from dereverb.errors import ContractError, ShapeError
 from dereverb.gradcheck import check_gradients
+from helpers import from_complex
 from taped_ops import index_axis, stack, sum_all
 
 
@@ -505,7 +506,7 @@ class TestComplexBatchNorm:
             l = np.linalg.cholesky(cov)
             white = np.linalg.inv(l) @ v
             flat[:, c] = white[0] + 1j * white[1]
-        x = ComplexTensor.from_complex(flat.reshape(raw.shape))
+        x = from_complex(flat.reshape(raw.shape))
         out = bn(x, training=True)
         np.testing.assert_allclose(out.real, x.real, atol=1e-6)
         np.testing.assert_allclose(out.imag, x.imag, atol=1e-6)

@@ -1,5 +1,6 @@
 """DCCRN assembly, loss, Adam, training loop, enhancement pipeline."""
 
+import dataclasses
 import re
 import tracemalloc
 
@@ -20,11 +21,11 @@ from dereverb.model import (
     ModelConfig,
     complex_loss,
     enhance_waveform,
-    enhance_with_identity_mask,
     load_training_images,
     train,
 )
-from dereverb.signal import WaveForm, istft, read_wav, stft, write_wav
+from dereverb.signal import WaveForm, apply_mask, istft, read_wav, stft, write_wav
+from helpers import ConstantMask
 
 
 def tiny_config(**overrides):
@@ -546,8 +547,8 @@ class TestSpectralFrontEnd:
     def test_identity_mask_ignores_smoothing(self):
         rng = np.random.default_rng(126)
         wf = WaveForm(rng.standard_normal(600) * 0.2, 500)
-        plain = enhance_with_identity_mask(wf, tiny_config())
-        smoothed = enhance_with_identity_mask(wf, tiny_config(psd_smoothing_alpha=0.5))
+        plain = enhance_waveform(ConstantMask(tiny_config()), wf)
+        smoothed = enhance_waveform(ConstantMask(tiny_config(psd_smoothing_alpha=0.5)), wf)
         np.testing.assert_array_equal(smoothed.samples, plain.samples)
 
 
@@ -574,7 +575,7 @@ class TestEnhance:
         rng = np.random.default_rng(125)
         sig = rng.standard_normal(600) * 0.2
         wf = WaveForm(sig, cfg.sample_rate)
-        out = enhance_with_identity_mask(wf, cfg)
+        out = enhance_waveform(ConstantMask(cfg), wf)
         spec = stft(wf, cfg.frame_len, cfg.hop, cfg.fft_size)
         spec.data[:, -1] = 0.0  # the documented Nyquist-bin loss
         ref = istft(spec)
@@ -582,6 +583,20 @@ class TestEnhance:
         err = np.sqrt(np.mean((out.samples[core] - ref.samples[core]) ** 2))
         scale = np.sqrt(np.mean(ref.samples[core] ** 2))
         assert err / scale < 1e-6
+
+    def test_constant_mask_multiplies_unsmoothed_spectrum_below_nyquist(self):
+        # 21 frames make three 8-frame images, the last zero-padded, and
+        # batches of two leave a partial last batch
+        cfg = tiny_config(psd_smoothing_alpha=0.5)
+        m = 0.75 - 0.5j
+        wf = WaveForm(np.random.default_rng(127).standard_normal(95) * 0.2, cfg.sample_rate)
+        spec = stft(wf, cfg.frame_len, cfg.hop, cfg.fft_size)
+        assert spec.n_frames == 21 and cfg.image_frames == 8 and cfg.batch_size == 2
+        s_m = np.zeros_like(spec.data)
+        s_m[:, : cfg.image_bins] = m
+        want = istft(apply_mask(dataclasses.replace(spec, data=s_m), spec))
+        got = enhance_waveform(ConstantMask(cfg, m), wf)
+        assert got.samples.tobytes() == want.samples.tobytes()
 
     def test_sample_rate_mismatch_rejected(self):
         cfg = tiny_config()
