@@ -71,10 +71,11 @@ def _split_vjp_b(a, g):
 # matmul or matmul_split, transpose, softmax) on the same operand layouts, and x
 # is listed once per use in the order the tape walk met those uses, so outputs
 # and gradients equal that chain's bit for bit (the oracle `taped_branch` in
-# tests/taped_ops.py).  A map's vjp runs once: it takes the saved arrays and
-# drops each after its last use, so backward reuses their memory.  Held to the
-# end of the vjp, they made a desk step's attention vjps fault in fresh pages,
-# and the fused backward ran slower than the chain's.
+# tests/taped_ops.py).  A node holds the input parts and its map(s); the vjp
+# re-forms the Q/K/V rows with the forward's code, at the cost of three
+# projection products.  A map's vjp runs once: it drops each saved array after
+# its last use, so backward reuses their memory (held to the vjp's end, they
+# made the fused backward fault in fresh pages and run slower than the chain's).
 
 
 class _ProjectedSA:
@@ -82,9 +83,10 @@ class _ProjectedSA:
 
     Subclasses set ``_init``, the weight init; ``_product`` with its vjps
     ``_product_vjp_a`` / ``_product_vjp_b``, the projection of the channels;
-    ``_attend(q, k, v, collect)``, which forms the map from the Q and K rows,
-    fills ``collect``, and returns the map applied to the V rows and a vjp
-    that returns the gradients of q, k and v; and ``op``, the node's name.
+    ``_key``, the K^T (or K^H) copy of the K rows; ``_attend(rows, collect)``,
+    which forms the map from ``rows()``, fills ``collect``, and returns the map
+    applied to the V rows and a vjp that calls ``rows()`` again and returns the
+    gradients of the Q, K and V rows; and ``op``, the node's name.
     """
 
     def __init__(self, channels_cc, *, rng, dtype=np.float64):
@@ -107,19 +109,23 @@ class _ProjectedSA:
         """Attention along ``axis`` of a [B, T, F, C] batch, one tape node.
 
         ``collect`` receives the attention maps, [B, L, L].  The node saves
-        the input parts, the Q, K^T (or K^H) and V rows and what the map's
-        vjp reads.
+        the input parts and the map(s).
         """
         _check_axis(axis)
         parts = _batch_parts(x, self.channels_cc, type(self).__name__)
         shape = x.shape
         flat = [p.reshape(shape[0], -1, self.channels_cc) for p in parts]
         ws = [self.proj[(axis, name)] for name in ("q", "k", "v")]
-        q, k, v = (
-            [_rows(p.reshape(shape), axis) for p in self._product(flat, (w.real, w.imag))]
-            for w in ws
-        )
-        a, attend_vjp = self._attend(q, k, v, collect)
+
+        def rows():
+            """The Q, K^T (or K^H) and V rows, for the forward and again for the vjp."""
+            q, k, v = (
+                [_rows(p.reshape(shape), axis) for p in self._product(flat, (w.real, w.imag))]
+                for w in ws
+            )
+            return q, self._key(k), v
+
+        a, attend_vjp = self._attend(rows, collect)
         out = [np.ascontiguousarray(_from_rows(p, shape, axis)) for p in a]
 
         def grads(gr, gi):
@@ -145,20 +151,21 @@ class ConventionalSA(_ProjectedSA):
     _product = staticmethod(_split_mm)
     _product_vjp_a = staticmethod(_split_vjp_a)
     _product_vjp_b = staticmethod(_split_vjp_b)
+    _key = staticmethod(lambda k: (k[0].swapaxes(-1, -2).copy(), k[1].swapaxes(-1, -2).copy()))
 
     @staticmethod
-    def _attend(q, k, v, collect):
-        kt = k[0].swapaxes(-1, -2).copy(), k[1].swapaxes(-1, -2).copy()
+    def _attend(rows, collect):
+        q, kt, v = rows()
         w = [_softmax(p) for p in _split_mm(q, kt)]
         if collect is not None:
             collect["weights_real"] = w[0].copy()
             collect["weights_imag"] = w[1].copy()
 
-        saved = [q, kt, v, w]
+        saved = [w]
 
         def vjp(gr, gi):
-            q, kt, v, w = saved
-            saved.clear()
+            q, kt, v = rows()
+            w = saved.pop()
             ga = gr, gi
             gw, gv = _split_vjp_a(ga, v), _split_vjp_b(w, ga)
             gl = [_softmax_vjp(g, p) for g, p in zip(gw, w)]
@@ -184,30 +191,32 @@ class ComplexTFSA(_ProjectedSA):
     _product = staticmethod(_cmm)
     _product_vjp_a = staticmethod(_cmm_vjp_a)
     _product_vjp_b = staticmethod(_cmm_vjp_b)
+    _key = staticmethod(lambda k: (k[0].swapaxes(-1, -2).copy(), -k[1].swapaxes(-1, -2)))
 
     @staticmethod
-    def _attend(q, k, v, collect):
-        kh = k[0].swapaxes(-1, -2).copy(), -k[1].swapaxes(-1, -2)
+    def _attend(rows, collect):
+        q, kh, v = rows()
         corr = _cmm(q, kh)
-        m = np.hypot(*corr)
-        safe = np.where(m == 0.0, 1.0, m)
-        w = _softmax(m)
+        w = _softmax(np.hypot(*corr))
         if collect is not None:
             collect["corr"] = corr[0] + 1j * corr[1]
             collect["weights"] = w.copy()
 
-        saved = [q, kh, v, w, corr, safe]
+        saved = [w, corr]
 
         def vjp(gr, gi):
-            q, kh, (vr, vi), w, (cr, ci), safe = saved
+            q, kh, (vr, vi) = rows()
+            w, (cr, ci) = saved
             saved.clear()
             # the map's gradient: its real part only, as its imaginary part is 0
             gw = gr @ vr.swapaxes(-1, -2) + gi @ vi.swapaxes(-1, -2)
             gv = w.swapaxes(-1, -2) @ gr, w.swapaxes(-1, -2) @ gi
             gm = _softmax_vjp(gw, w)
             del vr, vi, w, gw
+            m = np.hypot(cr, ci)
+            safe = np.where(m == 0.0, 1.0, m)
             gc = gm * cr / safe, gm * ci / safe
-            del gm, cr, ci, safe
+            del gm, cr, ci, m, safe
             gkh = _cmm_vjp_b(q, gc)
             del q
             return _cmm_vjp_a(gc, kh), (gkh[0].swapaxes(-1, -2), -gkh[1].swapaxes(-1, -2)), gv

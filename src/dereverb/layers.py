@@ -358,7 +358,9 @@ class ComplexBatchNorm:
         inv = np.power(st, -1.0)
         c_s, a_s, neg_b = c + s, a + s, -b
         w_rr, w_ii, w_ri = (tile(v * inv) for v in (c_s, a_s, neg_b))
-        white_r, white_i = w_rr * xr + w_ri * xi, w_ii * xi + w_ri * xr
+        # the whitened map, formed again by the vjp: the node holds xr, xi, not it
+        white = lambda: (w_rr * xr + w_ri * xi, w_ii * xi + w_ri * xr)
+        white_r, white_i = white()
 
         gd, go, beta = self.gamma_d, self.gamma_o, self.beta
         out_r = (tile(gd.real) * white_r + tile(go.real) * white_i) + tile(beta.real)
@@ -370,9 +372,10 @@ class ComplexBatchNorm:
             the gradient of forward value ``v``; dwr, dwi that of white."""
             # gr and gi can be strided views of a conv's gradient rows: they
             # keep the map's shape, as a copy would add a map per call
-            wr, wi = white_r.reshape(shape), white_i.reshape(shape)
+            wr, wi = (p.reshape(shape) for p in white())
             g_gd = total(gr * wr), total(gi * wi)
             g_go = total(gr * wi), total(gi * wr)
+            del wr, wi
             g_beta = total(gr), total(gi)
             dwr, dwi = rows(gi * go.imag + gr * gd.real), rows(gr * go.real + gi * gd.imag)
             dxr, dxi = dwi * w_ri + dwr * w_rr, dwr * w_ri + dwi * w_ii

@@ -437,18 +437,12 @@ def _image_tensors(images, dtype):
 
 
 def _spectral_front_end(wf: WaveForm, cfg: ModelConfig):
-    """The STFT of ``wf`` and its spectral images: (spec_x, images_in, images_x).
-
-    ``images_in`` feed the network; ``images_x`` are cut from the unsmoothed
-    ``spec_x``, which the mask multiplies.  PSD smoothing, when enabled, shapes
-    the network input only; without it ``images_in`` is ``images_x``.
-    """
+    """(spec_x, images_in): the STFT of ``wf``, which the mask multiplies, and the
+    network's input images, cut from it after PSD smoothing when that is on."""
     spec_x = stft(wf, cfg.frame_len, cfg.hop, cfg.fft_size)
-    images_x = make_spectral_images(spec_x, cfg.image_frames)
-    if cfg.psd_smoothing_alpha is None:
-        return spec_x, images_x, images_x
-    smoothed = psd_smooth(spec_x, cfg.psd_smoothing_alpha)
-    return spec_x, make_spectral_images(smoothed, cfg.image_frames), images_x
+    alpha = cfg.psd_smoothing_alpha
+    smoothed = spec_x if alpha is None else psd_smooth(spec_x, alpha)
+    return spec_x, make_spectral_images(smoothed, cfg.image_frames)
 
 
 def load_training_images(manifest_path, cfg: ModelConfig, log=None):
@@ -466,7 +460,10 @@ def load_training_images(manifest_path, cfg: ModelConfig, log=None):
         try:
             clean = read_wav(row["clean_path"], expected_rate=cfg.sample_rate)
             reverb = read_wav(row["reverb_path"], expected_rate=cfg.sample_rate)
-            _, img_in, img_x = _spectral_front_end(reverb, cfg)
+            spec_x, img_in = _spectral_front_end(reverb, cfg)
+            img_x = img_in
+            if cfg.psd_smoothing_alpha is not None:  # the mask multiplies the unsmoothed STFT
+                img_x = make_spectral_images(spec_x, cfg.image_frames)
             spec_s = stft(clean, cfg.frame_len, cfg.hop, cfg.fft_size)
             img_s = make_spectral_images(spec_s, cfg.image_frames)
             if len(clean) != len(reverb):
@@ -564,7 +561,7 @@ def enhance_waveform(model: DccrnModel, wf: WaveForm) -> WaveForm:
         raise ContractError(
             f"model expects {cfg.sample_rate} Hz audio, got {wf.sample_rate} Hz"
         )
-    spec_x, images_in, _ = _spectral_front_end(wf, cfg)
+    spec_x, images_in = _spectral_front_end(wf, cfg)
     masks = []
     for lo in range(0, len(images_in), cfg.batch_size):
         chunk = images_in[lo : lo + cfg.batch_size]

@@ -1,5 +1,7 @@
 """Attention mechanisms: SDAB, per-part SA, fully complex SA, and the block."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -373,6 +375,32 @@ class TestTFAttentionBlock:
                 for g, w in zip(got, want, strict=True):
                     assert g.dtype == w.dtype and g.shape == w.shape
                     assert np.ascontiguousarray(g).tobytes() == np.ascontiguousarray(w).tobytes()
+
+    @pytest.mark.parametrize("axis", AXES)
+    @pytest.mark.parametrize("variant, maps", [("conventional", 2), ("complex", 3)])
+    def test_taped_branch_holds_its_maps_not_qkv_rows(self, variant, maps, axis):
+        # until backward, a branch node holds the input parts (views here) and
+        # its map(s): w_r, w_i for `conventional`, w and Corr's two parts for
+        # `complex`; its vjp re-forms the Q, K^T (or K^H) and V rows.  On the
+        # desk map [4, 64, 64, 2], time axis: 1.84 MB (`conventional`) and
+        # 2.10 MB (`complex`) held beside the output when the node kept the
+        # rows (and `complex` its floored |Corr|), 265 / 396 kB now, against
+        # bounds of 393 / 524 kB: the maps plus half a Q/K/V part
+        rng = np.random.default_rng(83)
+        for t, f, c in DESK_MAPS:
+            sa = TFAttentionBlock(variant, c, t, f, rng=rng).mechanism
+            x = rand_ct(rng, 4, t, f, c)
+            tape = ct.GradTape()
+            tape.watch(x)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                y = sa.branch(x, axis)
+                held = tracemalloc.get_traced_memory()[0] - before - 2 * y.real.nbytes
+            finally:
+                tracemalloc.stop()
+            l = t if axis == "time" else f
+            assert held < maps * x.real.itemsize * x.shape[0] * l * l + x.real.nbytes // 2
 
     @pytest.mark.parametrize("variant", ["conventional", "complex"])
     def test_collect_holds_one_map_per_item(self, variant):

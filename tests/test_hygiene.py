@@ -42,6 +42,21 @@ def _definitions(module, tree):
                     yield f"{module}.{node.name}.{item.name}", item
 
 
+# method names that two or more classes of the package define: the caller scan
+# matches a name, not its class, so a call of one sharer counts for them all
+SHARED_METHOD_NAMES = {
+    "parameters": [
+        "attention.Sdab", "attention.TFAttentionBlock", "attention._ProjectedSA",
+        "layers.ComplexBatchNorm", "layers.ComplexGruCell", "model.DccrnModel",
+        "model._UNetBlock",
+    ],
+    "buffers": ["layers.ComplexBatchNorm", "model.DccrnModel", "model._UNetBlock"],
+    "branch": ["attention.Sdab", "attention._ProjectedSA"],
+    "_attend": ["attention.ComplexTFSA", "attention.ConventionalSA"],
+    "validate": ["datasynth.SynthConfig", "model.ModelConfig"],
+}
+
+
 def _uncalled():
     """Each definition of ``src/dereverb`` whose name the package names
     nowhere outside the definition itself."""
@@ -62,3 +77,18 @@ def test_every_definition_has_a_caller_in_the_package():
 def test_allowlist_names_uncalled_definitions(name):
     # an entry whose definition gained a caller in the package, or went, is dropped
     assert name in _uncalled()
+
+
+def test_shared_method_names_are_pinned():
+    classes = {}
+    for path in sorted(SRC.glob("*.py")):
+        for name, _ in _definitions(path.stem, ast.parse(path.read_text(), str(path))):
+            module, *owner, method = name.split(".")
+            if owner:
+                classes.setdefault(method, []).append(f"{module}.{owner[0]}")
+    shared = {name: sorted(owners) for name, owners in classes.items() if len(owners) > 1}
+    assert shared == SHARED_METHOD_NAMES, (
+        "the method names that classes share changed; the caller scan cannot tell "
+        "their classes apart, so check by hand that each new sharer has a caller "
+        "in the package, then update SHARED_METHOD_NAMES"
+    )

@@ -24,7 +24,16 @@ from dereverb.model import (
     load_training_images,
     train,
 )
-from dereverb.signal import WaveForm, apply_mask, istft, read_wav, stft, write_wav
+from dereverb.signal import (
+    WaveForm,
+    apply_mask,
+    istft,
+    psd_smooth,
+    read_wav,
+    reassemble_spectral_images,
+    stft,
+    write_wav,
+)
 from helpers import ConstantMask
 
 
@@ -231,9 +240,15 @@ class TestDccrnForward:
         complex_loss(x, s_hat, cfg.compress_exponent, cfg.loss_beta)
         assert len(tape) == nodes
 
-    @staticmethod
-    def held_at_the_loss(variant):
-        """Traced memory at the loss of a desk step (B=4) once the model is built."""
+    @pytest.mark.parametrize("variant", ["none", "sdab", "conventional", "complex"])
+    def test_desk_step_memory_held_at_the_loss(self, variant):
+        # traced memory at the loss of a desk step (B=4) once the model is
+        # built, `none` / `sdab` / `conventional` / `complex`: `none` held 81.0 MB
+        # when each conv's patch matrix stayed on the tape, `complex` 52.5 MB
+        # when each branch was generic tape nodes and `add` kept its operands;
+        # 21.5 / 23.9 / 40.6 / 43.1 MB while each attention node kept its Q, K^T
+        # (or K^H) and V rows and each batchnorm its whitened map, and 19.1 /
+        # 21.5 / 24.1 / 25.3 MB since their vjps re-form them
         cfg = ModelConfig(attention=variant)
         model = DccrnModel(cfg)
         x = rand_images(np.random.default_rng(123), cfg, batch=cfg.batch_size)
@@ -250,17 +265,7 @@ class TestDccrnForward:
             ct.gradients(build, [p for _, p in model.parameters()])
         finally:
             tracemalloc.stop()
-        return held[0]
-
-    def test_desk_step_memory_held_at_the_loss(self):
-        # `none`: 81.0 MB when each conv's patch matrix stayed on the tape,
-        # 22.3 MB with its padded map
-        assert self.held_at_the_loss("none") < 40e6
-
-    def test_desk_complex_step_memory_held_at_the_loss(self):
-        # 52.5 MB when each branch was generic tape nodes and `add` kept its
-        # operands, 43.1 MB with one node per branch and shapes in `add`'s vjps
-        assert self.held_at_the_loss("complex") < 48e6
+        assert held[0] < 30e6
 
     @pytest.mark.parametrize("bounded", [False, True])
     def test_whole_model_gradcheck_eval_mode(self, bounded):
@@ -550,6 +555,27 @@ class TestSpectralFrontEnd:
         plain = enhance_waveform(ConstantMask(tiny_config()), wf)
         smoothed = enhance_waveform(ConstantMask(tiny_config(psd_smoothing_alpha=0.5)), wf)
         np.testing.assert_array_equal(smoothed.samples, plain.samples)
+
+    def test_enhance_cuts_only_the_network_input(self, monkeypatch):
+        # with smoothing on, `enhance` cuts images from the smoothed STFT and
+        # masks the unsmoothed one whole; it once cut the unsmoothed STFT's
+        # images too and dropped them.  Its samples equal the pipeline
+        # composed from its parts, byte for byte, as they did then
+        cfg = tiny_config(psd_smoothing_alpha=0.5)
+        model = DccrnModel(cfg)
+        wf = WaveForm(np.random.default_rng(128).standard_normal(95) * 0.2, cfg.sample_rate)
+        cut, calls = model_mod.make_spectral_images, []
+        monkeypatch.setattr(model_mod, "make_spectral_images", lambda *a: calls.append(a) or cut(*a))
+        got = enhance_waveform(model, wf)
+        assert len(calls) == 1
+        spec = stft(wf, cfg.frame_len, cfg.hop, cfg.fft_size)
+        images, masks = cut(psd_smooth(spec, 0.5), cfg.image_frames), []
+        for lo in range(0, len(images), cfg.batch_size):
+            chunk = images[lo : lo + cfg.batch_size]
+            mask = model.forward(model_mod._image_tensors(chunk, cfg.np_dtype), training=False)
+            masks += [dataclasses.replace(i, data=m) for i, m in zip(chunk, mask.to_complex()[..., 0])]
+        want = istft(apply_mask(reassemble_spectral_images(masks, spec), spec))
+        assert got.samples.tobytes() == want.samples.tobytes()
 
 
 class TestEnhance:
